@@ -1,15 +1,17 @@
 // Ablation 2 (DESIGN.md): isolates the *derivation* step of Algorithm 3.2
-// (no series scans involved) and compares two counting strategies for the
+// (no series scans involved) and compares three counting strategies for the
 // level-wise candidate evaluation of Algorithm 4.2:
 //   A. per-candidate pruned traversal of the max-subpattern tree
 //      (`CountSuperpatterns`, the paper's method);
 //   B. hit-major flat counting: one pass over the distinct hits per level,
-//      incrementing every candidate that is a subset of the hit.
-// Both must find the identical frequent set; only the derivation time and
+//      incrementing every candidate that is a subset of the hit;
+//   C. per-candidate AND + weighted popcount over the vertical store's
+//      letter columns (the default hit store).
+// All must find the identical frequent set; only the derivation time and
 // the work model differ.
 
 #include <cstdio>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -23,6 +25,36 @@
 namespace ppm::bench {
 namespace {
 
+struct Derived {
+  uint64_t frequent = 0;
+  uint64_t candidates = 0;
+  double ms = 0;
+};
+
+/// Level-wise derivation from F_1; `count_level` fills in the counts of one
+/// level's candidates.
+template <typename CountLevel>
+Derived DeriveLevelwise(const F1ScanResult& f1, CountLevel&& count_level) {
+  Derived out;
+  Stopwatch watch;
+  std::vector<LevelEntry> frequent = MakeLevelOne(f1.letter_counts);
+  out.frequent += frequent.size();
+  while (!frequent.empty()) {
+    std::vector<LevelEntry> candidates = GenerateCandidates(frequent);
+    if (candidates.empty()) break;
+    out.candidates += candidates.size();
+    count_level(&candidates);
+    std::vector<LevelEntry> next;
+    for (LevelEntry& candidate : candidates) {
+      if (candidate.count >= f1.min_count) next.push_back(std::move(candidate));
+    }
+    out.frequent += next.size();
+    frequent = std::move(next);
+  }
+  out.ms = watch.ElapsedMillis();
+  return out;
+}
+
 void Run(uint32_t max_pat_length, uint32_t num_f1, double independent_conf,
          double min_conf, obs::JsonWriter* rows) {
   synth::GeneratorOptions generator =
@@ -35,11 +67,11 @@ void Run(uint32_t max_pat_length, uint32_t num_f1, double independent_conf,
   options.period = generator.period;
   options.min_confidence = min_conf;
 
-  // Shared setup: F_1 and the hit multiset (both strategies start here).
+  // Shared setup: F_1 and the hit multiset (every strategy starts here).
   tsdb::InMemorySeriesSource source(&data.series);
   const F1ScanResult f1 = DieOr(ScanForF1(source, options));
   TreeHitStore tree(f1.space.full_mask(), f1.space.size());
-  std::unordered_map<Bitset, uint64_t, BitsetHash> hit_map;
+  VerticalHitStore vertical(f1.space.size());
   {
     Bitset mask(f1.space.size());
     for (uint64_t segment = 0; segment < f1.num_periods; ++segment) {
@@ -47,79 +79,59 @@ void Run(uint32_t max_pat_length, uint32_t num_f1, double independent_conf,
           &data.series.instants()[segment * options.period], &mask);
       if (mask.Count() >= 2) {
         tree.AddHit(mask);
-        ++hit_map[mask];
+        vertical.AddHit(mask);
       }
     }
   }
-  const std::vector<std::pair<Bitset, uint64_t>> hits(hit_map.begin(),
-                                                      hit_map.end());
+  std::vector<std::pair<Bitset, uint64_t>> hits;
+  vertical.ForEachHit([&hits](const Bitset& mask, uint64_t count) {
+    hits.emplace_back(mask, count);
+  });
 
-  // Strategy A: level-wise, per-candidate tree traversal.
-  uint64_t total_a = 0, candidates_a = 0;
-  Stopwatch watch_a;
-  {
-    std::vector<LevelEntry> frequent = MakeLevelOne(f1.letter_counts);
-    total_a += frequent.size();
-    while (!frequent.empty()) {
-      std::vector<LevelEntry> candidates = GenerateCandidates(frequent);
-      if (candidates.empty()) break;
-      candidates_a += candidates.size();
-      std::vector<LevelEntry> next;
-      for (LevelEntry& candidate : candidates) {
-        candidate.count = tree.CountSuperpatterns(candidate.mask);
-        if (candidate.count >= f1.min_count) next.push_back(std::move(candidate));
-      }
-      total_a += next.size();
-      frequent = std::move(next);
-    }
-  }
-  const double ms_a = watch_a.ElapsedMillis();
-
-  // Strategy B: level-wise, hit-major flat counting.
-  uint64_t total_b = 0, candidates_b = 0;
-  Stopwatch watch_b;
-  {
-    std::vector<LevelEntry> frequent = MakeLevelOne(f1.letter_counts);
-    total_b += frequent.size();
-    while (!frequent.empty()) {
-      std::vector<LevelEntry> candidates = GenerateCandidates(frequent);
-      if (candidates.empty()) break;
-      candidates_b += candidates.size();
-      for (const auto& [mask, count] : hits) {
-        for (LevelEntry& candidate : candidates) {
-          if (candidate.mask.IsSubsetOf(mask)) candidate.count += count;
+  const Derived a =
+      DeriveLevelwise(f1, [&tree](std::vector<LevelEntry>* level) {
+        for (LevelEntry& candidate : *level) {
+          candidate.count = tree.CountSuperpatterns(candidate.mask);
         }
-      }
-      std::vector<LevelEntry> next;
-      for (LevelEntry& candidate : candidates) {
-        if (candidate.count >= f1.min_count) next.push_back(std::move(candidate));
-      }
-      total_b += next.size();
-      frequent = std::move(next);
+      });
+  const Derived b =
+      DeriveLevelwise(f1, [&hits](std::vector<LevelEntry>* level) {
+        for (const auto& [mask, count] : hits) {
+          for (LevelEntry& candidate : *level) {
+            if (candidate.mask.IsSubsetOf(mask)) candidate.count += count;
+          }
+        }
+      });
+  const Derived c =
+      DeriveLevelwise(f1, [&vertical](std::vector<LevelEntry>* level) {
+        for (LevelEntry& candidate : *level) {
+          candidate.count = vertical.CountSuperpatterns(candidate.mask);
+        }
+      });
+
+  for (const Derived* other : {&b, &c}) {
+    if (other->frequent != a.frequent || other->candidates != a.candidates) {
+      std::fprintf(stderr, "strategy disagreement: %llu/%llu vs %llu/%llu\n",
+                   static_cast<unsigned long long>(a.frequent),
+                   static_cast<unsigned long long>(a.candidates),
+                   static_cast<unsigned long long>(other->frequent),
+                   static_cast<unsigned long long>(other->candidates));
+      std::exit(1);
     }
   }
-  const double ms_b = watch_b.ElapsedMillis();
-
-  if (total_a != total_b || candidates_a != candidates_b) {
-    std::fprintf(stderr, "strategy disagreement: %llu/%llu vs %llu/%llu\n",
-                 static_cast<unsigned long long>(total_a),
-                 static_cast<unsigned long long>(candidates_a),
-                 static_cast<unsigned long long>(total_b),
-                 static_cast<unsigned long long>(candidates_b));
-    std::exit(1);
-  }
-  std::printf("%8u %6u %10zu %12llu %12llu %14.2f %14.2f\n", max_pat_length,
-              num_f1, hits.size(),
-              static_cast<unsigned long long>(candidates_a),
-              static_cast<unsigned long long>(total_a), ms_a, ms_b);
+  std::printf("%8u %6u %10zu %12llu %12llu %14.2f %14.2f %14.2f\n",
+              max_pat_length, num_f1, hits.size(),
+              static_cast<unsigned long long>(a.candidates),
+              static_cast<unsigned long long>(a.frequent), a.ms, b.ms, c.ms);
   rows->BeginObject()
       .Key("mpl").Uint(max_pat_length)
       .Key("num_f1").Uint(num_f1)
       .Key("distinct_hits").Uint(hits.size())
-      .Key("candidates").Uint(candidates_a)
-      .Key("frequent").Uint(total_a)
-      .Key("tree_ms").Double(ms_a)
-      .Key("flat_ms").Double(ms_b);
+      .Key("candidates").Uint(a.candidates)
+      .Key("frequent").Uint(a.frequent)
+      .Key("tree_ms").Double(a.ms)
+      .Key("flat_ms").Double(b.ms)
+      .Key("vertical_ms").Double(c.ms);
   rows->EndObject();
 }
 
@@ -129,9 +141,10 @@ void Run(uint32_t max_pat_length, uint32_t num_f1, double independent_conf,
 int main(int argc, char** argv) {
   ppm::bench::PrintHeader(
       "Ablation: derivation counting -- tree traversal (A) vs hit-major flat "
-      "(B)");
-  std::printf("%8s %6s %10s %12s %12s %14s %14s\n", "MPL", "|F1|", "|H|",
-              "candidates", "frequent", "tree(ms)", "flat(ms)");
+      "(B) vs vertical bitmaps (C)");
+  std::printf("%8s %6s %10s %12s %12s %14s %14s %14s\n", "MPL", "|F1|", "|H|",
+              "candidates", "frequent", "tree(ms)", "flat(ms)",
+              "vertical(ms)");
   ppm::bench::BenchReport report("ablation_derivation", argc, argv);
   ppm::obs::JsonWriter& rows = report.rows();
   ppm::bench::Run(4, 12, 0.85, 0.8, &rows);

@@ -24,6 +24,8 @@ void Report(uint32_t num_f1, uint64_t length, obs::JsonWriter* rows) {
   MiningOptions options;
   options.period = generator.period;
   options.min_confidence = 0.8;
+  // The node-count column describes the paper's tree.
+  options.hit_store = HitStoreKind::kMaxSubpatternTree;
   tsdb::InMemorySeriesSource source(&data.series);
   const MiningResult result = DieOr(MineHitSet(source, options));
 

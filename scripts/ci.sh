@@ -135,8 +135,8 @@ fi
 # codes from a real binary -- a 1 ms deadline on a large series must exit 5
 # and a 1 MB budget with --budget-policy fail must exit 6
 # (docs/ROBUSTNESS.md). --num-f1 30 makes the Property 3.2 bound the number
-# of periods (10000), so the predicted tree bytes (~2 MB) exceed the 1 MB
-# budget deterministically.
+# of periods (10000), so the predicted vertical-store bytes (~1.7 MB) exceed
+# the 1 MB budget deterministically.
 PPM_FAULT_SEED=20260806 ctest --test-dir "$BUILD_DIR" \
   -R 'tsdb_corruption_test' --output-on-failure
 "$PPM" generate --output "$SMOKE_DIR/big.bin" \
@@ -406,9 +406,10 @@ echo "dist chaos smoke OK: 2 workers killed mid-shard, resume + merge exact"
 # Sanitizer matrix: the parallel miners, thread pool, streaming layer, and
 # the corruption/fault-injection harnesses under TSan (data races), ASan
 # (memory errors), and UBSan (undefined behaviour). Only the tests that
-# exercise threads, tricky memory, or hostile bytes are run -- a full suite
+# exercise threads, tricky memory (core_tree_test: the vertical store's
+# slot and column-word indexing), or hostile bytes are run -- a full suite
 # per sanitizer would triple CI time for no extra coverage.
-SANITIZER_TESTS='util_thread_pool_test|parallel_mine_test|differential_test|determinism_test|boundary_test|stream_test|tsdb_corruption_test|tsdb_fault_injection_test|fault_tolerance_test|tsdb_wal_test|stream_checkpoint_test|incremental_equivalence_test|cli_stream_test|service_store_test|service_cache_test|service_wire_test|service_admission_test|ppmd_server_test|serving_differential_test|serving_soak_test|service_robustness_test|dist_plan_test|dist_merge_test|dist_corruption_test|dist_coordinator_test'
+SANITIZER_TESTS='util_thread_pool_test|core_tree_test|parallel_mine_test|differential_test|determinism_test|boundary_test|stream_test|tsdb_corruption_test|tsdb_fault_injection_test|fault_tolerance_test|tsdb_wal_test|stream_checkpoint_test|incremental_equivalence_test|cli_stream_test|service_store_test|service_cache_test|service_wire_test|service_admission_test|ppmd_server_test|serving_differential_test|serving_soak_test|service_robustness_test|dist_plan_test|dist_merge_test|dist_corruption_test|dist_coordinator_test'
 if [[ "$SANITIZERS" == "1" ]]; then
   for sanitizer in thread address undefined; do
     SAN_DIR="$BUILD_DIR-$sanitizer"

@@ -27,10 +27,20 @@ uint64_t PredictHitStoreBytes(HitStoreKind kind, uint64_t entries,
       const uint64_t per_node = 96 + mask_bytes;
       return 2 * entries * per_node;
     }
-    case HitStoreKind::kHashTable: {
-      // One bucket entry per distinct mask: key + count + table overhead.
-      const uint64_t per_entry = 64 + mask_bytes;
-      return entries * per_entry;
+    case HitStoreKind::kVertical: {
+      // Per slot: its index entry (heap node, key words, buckets), its mask
+      // and count, a free-list entry, and one bit in every letter's column.
+      // Vector growth and the column stride can double each per-slot
+      // array, so those are counted twice. Fixed: the store itself plus
+      // each column's partial last word.
+      const uint64_t index_entry = 72 + mask_bytes;
+      const uint64_t mask = 2 * 24 + mask_bytes;
+      const uint64_t count = 2 * 8;
+      const uint64_t free_slot = 2 * 4;
+      const uint64_t column_bits = 2 * ((uint64_t{num_letters} + 7) / 8);
+      const uint64_t per_entry =
+          index_entry + mask + count + free_slot + column_bits;
+      return 256 + uint64_t{num_letters} * 8 + entries * per_entry;
     }
   }
   return 0;
@@ -56,15 +66,15 @@ Result<BudgetDecision> DecideHitStore(const MiningOptions& options,
 
   if (options.budget_policy == BudgetPolicy::kDegrade &&
       options.hit_store == HitStoreKind::kMaxSubpatternTree) {
-    const uint64_t hash_bytes =
-        PredictHitStoreBytes(HitStoreKind::kHashTable, bound, num_letters);
-    if (hash_bytes <= options.memory_budget_bytes) {
-      decision.store = HitStoreKind::kHashTable;
-      decision.predicted_bytes = hash_bytes;
+    const uint64_t vertical_bytes =
+        PredictHitStoreBytes(HitStoreKind::kVertical, bound, num_letters);
+    if (vertical_bytes <= options.memory_budget_bytes) {
+      decision.store = HitStoreKind::kVertical;
+      decision.predicted_bytes = vertical_bytes;
       decision.degraded = true;
       registry.GetCounter("ppm.fault.degradations").Inc();
-      PPM_LOG(kInfo) << "memory budget: degrading to hash hit store ("
-                     << hash_bytes << " <= " << options.memory_budget_bytes
+      PPM_LOG(kInfo) << "memory budget: degrading to vertical hit store ("
+                     << vertical_bytes << " <= " << options.memory_budget_bytes
                      << " bytes predicted for |H| <= " << bound << ")";
       return decision;
     }

@@ -17,7 +17,7 @@ uint64_t HitSetUpperBound(uint64_t num_periods, uint64_t num_letters);
 
 /// Approximate worst-case bytes a hit store of `kind` needs to hold
 /// `entries` distinct masks over `num_letters` letters. Deliberately
-/// pessimistic (tree interior nodes, hash bucket overhead) so a prediction
+/// pessimistic (tree interior nodes, vector growth slack) so a prediction
 /// that fits the budget really fits.
 uint64_t PredictHitStoreBytes(HitStoreKind kind, uint64_t entries,
                               uint32_t num_letters);
@@ -34,7 +34,8 @@ struct BudgetDecision {
 
 /// Applies `options.memory_budget_bytes` / `options.budget_policy` to the
 /// Property 3.2 prediction *before* the second scan: returns the store to
-/// build, possibly degraded to the hash store (identical patterns), or
+/// build, possibly degraded from the tree to the vertical store (identical
+/// patterns), or
 /// `kResourceExhausted` when no permitted store fits. Increments the
 /// `ppm.fault.budget_denials` / `ppm.fault.degradations` metrics.
 Result<BudgetDecision> DecideHitStore(const MiningOptions& options,

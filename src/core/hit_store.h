@@ -5,6 +5,7 @@
 #include <functional>
 #include <memory>
 #include <unordered_map>
+#include <vector>
 
 #include "core/max_subpattern_tree.h"
 #include "core/mining_options.h"
@@ -18,7 +19,7 @@ namespace ppm {
 /// add one hit, and total the hits that are superpatterns of a candidate.
 ///
 /// Two implementations exist so the paper's tree can be ablated against a
-/// plain hash table (DESIGN.md ablation 1).
+/// vertical bitmap layout (DESIGN.md ablation 1).
 class HitStore {
  public:
   virtual ~HitStore() = default;
@@ -49,7 +50,7 @@ class HitStore {
   /// and merges them (in deterministic chunk order) once the workers join;
   /// `CountSuperpatterns` totals are additive, so the merged store answers
   /// exactly as a store fed sequentially. `other` may use a different
-  /// backing (tree into hash and vice versa).
+  /// backing (tree into vertical and vice versa).
   void Merge(const HitStore& other) {
     other.ForEachHit(
         [this](const Bitset& mask, uint64_t count) { AddHits(mask, count); });
@@ -63,7 +64,7 @@ class HitStore {
   /// Number of distinct stored max-subpatterns (`|H|`).
   virtual uint64_t num_entries() const = 0;
 
-  /// Allocated bookkeeping units (tree nodes, or hash entries).
+  /// Allocated bookkeeping units (tree nodes, or vertical slots).
   virtual uint64_t num_units() const = 0;
 
   /// Approximate bytes of owned storage, for `MemoryBudget` accounting.
@@ -107,31 +108,61 @@ class TreeHitStore : public HitStore {
   MaxSubpatternTree tree_;
 };
 
-/// `HitStore` backed by a hash table keyed on the hit mask. Queries scan
-/// every distinct entry (no superpattern pruning).
-class HashHitStore : public HitStore {
+/// `HitStore` laid out vertically, as Eclat's tid-lists over the distinct
+/// hits: every distinct mask owns a *slot*, and every letter owns a column
+/// bitmap with bit `s` set when slot `s`'s mask contains that letter. A
+/// candidate's count is the AND of its letters' columns, weighted by the
+/// slot counts -- no tree walk and no per-entry subset test. Property 3.2
+/// bounds the slots, hence every column, by `min(m, 2^{n_d} - n_d - 1)`.
+class VerticalHitStore : public HitStore {
  public:
-  HashHitStore();
+  explicit VerticalHitStore(uint32_t num_letters);
 
-  void AddHit(const Bitset& mask) override { ++counts_[mask]; }
-  void AddHits(const Bitset& mask, uint64_t count) override {
-    if (count > 0) counts_[mask] += count;
-  }
+  void AddHit(const Bitset& mask) override { AddHits(mask, 1); }
+  void AddHits(const Bitset& mask, uint64_t count) override;
   void RemoveHits(const Bitset& mask, uint64_t count) override;
+  /// Visits live slots in slot order, so `Merge` and checkpoint order are
+  /// deterministic for a fixed insertion history.
   void ForEachHit(const std::function<void(const Bitset&, uint64_t)>& fn)
-      const override {
-    for (const auto& [mask, count] : counts_) fn(mask, count);
-  }
+      const override;
   uint64_t CountSuperpatterns(const Bitset& mask) const override;
-  uint64_t num_entries() const override { return counts_.size(); }
-  uint64_t num_units() const override { return counts_.size(); }
+  uint64_t num_entries() const override { return index_.size(); }
+  /// Allocated slots, free ones included (a `Compact` rebuild drops those).
+  uint64_t num_units() const override { return masks_.size(); }
   uint64_t ApproxMemoryBytes() const override;
 
+  /// Query letters whose column pointers fit on the stack; larger queries
+  /// spill to the heap. Each call owns its buffer, so concurrent queries
+  /// share no mutable state.
+  static constexpr uint32_t kStackLetters = 64;
+
  private:
-  std::unordered_map<Bitset, uint64_t, BitsetHash> counts_;
-  // Entries examined per query (`ppm.hit_store.hash_probes`); the counter
-  // the DESIGN.md ablation compares against `ppm.tree.query_node_visits`.
-  obs::Counter probes_counter_;
+  /// Doubles the column stride once the slots fill every column word.
+  void WidenColumns();
+  uint64_t* Column(uint32_t letter) {
+    return words_.data() + letter * column_words_;
+  }
+  const uint64_t* Column(uint32_t letter) const {
+    return words_.data() + letter * column_words_;
+  }
+
+  uint32_t num_letters_;
+  // Mask -> slot; touched only when the multiset changes, never by queries.
+  std::unordered_map<Bitset, uint32_t, BitsetHash> index_;
+  // Per slot: its mask and count. A free slot has count 0 and no bits set
+  // in any column.
+  std::vector<Bitset> masks_;
+  std::vector<uint64_t> counts_;
+  std::vector<uint32_t> free_slots_;
+  // Letter l's column is words_[l * column_words_, (l + 1) * column_words_);
+  // its bit s is set when slot s's mask contains l. One block for all
+  // columns, whose stride doubles when the slots outgrow it.
+  std::vector<uint64_t> words_;
+  size_t column_words_ = 0;
+  uint64_t total_count_ = 0;
+  // Column words ANDed per query (`ppm.hit_store.words_scanned`), the
+  // analogue of `ppm.tree.query_node_visits`.
+  obs::Counter words_counter_;
 };
 
 /// Factory keyed on the `MiningOptions::hit_store` selector.

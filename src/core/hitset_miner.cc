@@ -77,7 +77,8 @@ Result<MiningResult> MineHitSetSharded(tsdb::SeriesSource& source,
   result.stats().num_periods = f1.num_periods;
 
   // Property 3.2 bounds the hit set before it is built; the budget decision
-  // may degrade the tree to the hash store (identical patterns) or refuse.
+  // may degrade the tree to the vertical store (identical patterns) or
+  // refuse.
   PPM_ASSIGN_OR_RETURN(
       const BudgetDecision budgeted,
       DecideHitStore(options, f1.num_periods, f1.space.size()));
@@ -213,7 +214,8 @@ Result<MiningResult> MineHitSet(tsdb::SeriesSource& source,
   result.stats().num_periods = f1.num_periods;
 
   // Property 3.2 bounds the hit set before it is built; the budget decision
-  // may degrade the tree to the hash store (identical patterns) or refuse.
+  // may degrade the tree to the vertical store (identical patterns) or
+  // refuse.
   PPM_ASSIGN_OR_RETURN(
       const BudgetDecision budgeted,
       DecideHitStore(options, f1.num_periods, f1.space.size()));

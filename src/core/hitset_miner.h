@@ -14,8 +14,9 @@ namespace ppm {
 ///  1. find the frequent 1-patterns `F_1` and form the candidate max-pattern
 ///     `C_max`;
 ///  2. for each whole period segment, compute its maximal hit subpattern of
-///     `C_max` and register it in a hit store (the max-subpattern tree of
-///     Section 4, or a hash table under `HitStoreKind::kHashTable`).
+///     `C_max` and register it in a hit store (the vertical bitmap store by
+///     default, or the max-subpattern tree of Section 4 under
+///     `HitStoreKind::kMaxSubpatternTree`).
 /// The complete frequent pattern set is then derived from the hit counts
 /// without touching the series again (Algorithm 4.2).
 Result<MiningResult> MineHitSet(tsdb::SeriesSource& source,

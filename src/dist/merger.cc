@@ -88,7 +88,7 @@ Result<MergedInput> MergeOneInput(const ShardPlan& plan, uint32_t input_index,
   obs::Counter segments_skipped =
       registry.GetCounter("ppm.hitset.segments_skipped");
   std::unique_ptr<HitStore> store = MakeHitStore(
-      HitStoreKind::kHashTable, f1.space.full_mask(), f1.space.size());
+      HitStoreKind::kVertical, f1.space.full_mask(), f1.space.size());
   Bitset mask(f1.space.size());
   for (const ShardResult* shard : results) {
     for (const RawHit& hit : shard->hits) {

@@ -9,6 +9,12 @@ namespace ppm::obs {
 
 namespace {
 
+double SecondsSince(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       start)
+      .count();
+}
+
 Status WriteFile(const std::string& path, const std::string& content) {
   std::ofstream out(path, std::ios::trunc);
   if (!out) return Status::IoError("cannot open for write: " + path);
@@ -28,12 +34,18 @@ TraceSpan& TraceSpan::operator=(TraceSpan&& other) noexcept {
     tracer_ = std::exchange(other.tracer_, nullptr);
     index_ = other.index_;
     generation_ = other.generation_;
+    unrecorded_ = std::exchange(other.unrecorded_, false);
+    unrecorded_start_ = other.unrecorded_start_;
     elapsed_after_end_ = other.elapsed_after_end_;
   }
   return *this;
 }
 
 void TraceSpan::End() {
+  if (unrecorded_) {
+    elapsed_after_end_ = SecondsSince(unrecorded_start_);
+    unrecorded_ = false;
+  }
   if (tracer_ == nullptr) return;
   const double elapsed = tracer_->CloseSpan(index_, generation_);
   if (elapsed >= 0.0) elapsed_after_end_ = elapsed;
@@ -41,6 +53,7 @@ void TraceSpan::End() {
 }
 
 double TraceSpan::ElapsedSeconds() const {
+  if (unrecorded_) return SecondsSince(unrecorded_start_);
   if (tracer_ != nullptr) {
     const double elapsed = tracer_->SpanElapsed(index_, generation_);
     if (elapsed >= 0.0) return elapsed;
@@ -48,7 +61,9 @@ double TraceSpan::ElapsedSeconds() const {
   return elapsed_after_end_;
 }
 
-Tracer::Tracer() : epoch_(std::chrono::steady_clock::now()) {}
+Tracer::Tracer()
+    : epoch_(std::chrono::steady_clock::now()),
+      dropped_(MetricsRegistry::Global().GetCounter("ppm.trace.dropped")) {}
 
 uint64_t Tracer::NowUs() const {
   return static_cast<uint64_t>(
@@ -59,6 +74,10 @@ uint64_t Tracer::NowUs() const {
 
 TraceSpan Tracer::StartSpan(std::string name) {
   std::lock_guard<std::mutex> lock(mu_);
+  if (events_.size() >= kMaxEvents) {
+    dropped_.Inc();
+    return TraceSpan(std::chrono::steady_clock::now());
+  }
   TraceEvent event;
   event.name = std::move(name);
   event.start_us = NowUs();

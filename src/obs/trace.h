@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "util/status.h"
 
 namespace ppm::obs {
@@ -48,10 +49,16 @@ class TraceSpan {
   friend class Tracer;
   TraceSpan(Tracer* tracer, size_t index, uint64_t generation)
       : tracer_(tracer), index_(index), generation_(generation) {}
+  /// A span the tracer had no room to record; it times itself.
+  explicit TraceSpan(std::chrono::steady_clock::time_point unrecorded_start)
+      : unrecorded_(true), unrecorded_start_(unrecorded_start) {}
 
   Tracer* tracer_ = nullptr;
   size_t index_ = 0;
   uint64_t generation_ = 0;
+  /// True while an unrecorded span is open.
+  bool unrecorded_ = false;
+  std::chrono::steady_clock::time_point unrecorded_start_;
   /// Final duration, captured by `End()` so the value survives `Clear()`.
   double elapsed_after_end_ = 0.0;
 };
@@ -67,6 +74,12 @@ class TraceSpan {
 /// concurrently (i.e. after workers have joined).
 class Tracer {
  public:
+  /// Events kept between `Clear()`s (about 0.5 MB). Later spans still time
+  /// themselves but are not recorded; each one counts in
+  /// `ppm.trace.dropped`. This bounds a long-lived process, whose global
+  /// tracer is never cleared, however many mines it runs.
+  static constexpr size_t kMaxEvents = size_t{1} << 13;
+
   Tracer();
   Tracer(const Tracer&) = delete;
   Tracer& operator=(const Tracer&) = delete;
@@ -113,6 +126,7 @@ class Tracer {
   /// Bumped by `Clear()` so spans from a previous generation cannot write
   /// into recycled event slots.
   uint64_t generation_ = 0;
+  Counter dropped_;
 };
 
 #else  // PPM_OBS_DISABLED

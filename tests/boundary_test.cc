@@ -62,7 +62,7 @@ void ForEveryMiner(const TimeSeries& series, const MiningOptions& options,
     check("apriori", MineApriori(source, options));
   }
   for (const HitStoreKind store :
-       {HitStoreKind::kMaxSubpatternTree, HitStoreKind::kHashTable}) {
+       {HitStoreKind::kMaxSubpatternTree, HitStoreKind::kVertical}) {
     for (const uint32_t threads : {1u, 4u}) {
       MiningOptions hitset_options = options;
       hitset_options.hit_store = store;

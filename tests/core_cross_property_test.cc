@@ -85,12 +85,14 @@ TEST_P(CrossAlgorithmTest, AllMinersAgreeWithExhaustiveOracle) {
   ASSERT_TRUE(exhaustive.ok()) << exhaustive.status();
   auto apriori = MineApriori(s2, options);
   ASSERT_TRUE(apriori.ok()) << apriori.status();
-  auto hitset_tree = MineHitSet(s3, options);
+  MiningOptions tree_options = options;
+  tree_options.hit_store = HitStoreKind::kMaxSubpatternTree;
+  auto hitset_tree = MineHitSet(s3, tree_options);
   ASSERT_TRUE(hitset_tree.ok()) << hitset_tree.status();
-  MiningOptions hash_options = options;
-  hash_options.hit_store = HitStoreKind::kHashTable;
-  auto hitset_hash = MineHitSet(s4, hash_options);
-  ASSERT_TRUE(hitset_hash.ok()) << hitset_hash.status();
+  MiningOptions vertical_options = options;
+  vertical_options.hit_store = HitStoreKind::kVertical;
+  auto hitset_vertical = MineHitSet(s4, vertical_options);
+  ASSERT_TRUE(hitset_vertical.ok()) << hitset_vertical.status();
   auto naive = MineNaiveLevelwise(s5, options);
   ASSERT_TRUE(naive.ok()) << naive.status();
 
@@ -98,7 +100,7 @@ TEST_P(CrossAlgorithmTest, AllMinersAgreeWithExhaustiveOracle) {
   const auto oracle_map = AsCountMap(*exhaustive, symbols);
   EXPECT_EQ(AsCountMap(*apriori, symbols), oracle_map);
   EXPECT_EQ(AsCountMap(*hitset_tree, symbols), oracle_map);
-  EXPECT_EQ(AsCountMap(*hitset_hash, symbols), oracle_map);
+  EXPECT_EQ(AsCountMap(*hitset_vertical, symbols), oracle_map);
   EXPECT_EQ(AsCountMap(*naive, symbols), oracle_map);
 }
 

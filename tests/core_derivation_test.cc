@@ -78,7 +78,7 @@ TEST(DerivationTest, LevelOneFiltersBelowThresholdLetters) {
   // participate in candidate generation. (This path is exercised by the
   // streaming miner's fixed letter space.)
   const F1ScanResult f1 = MakeF1(10, 5, {9, 8, 4});
-  HashHitStore store;
+  VerticalHitStore store(3);
   for (int i = 0; i < 6; ++i) store.AddHit(MaskOf({0, 1}));
 
   MiningResult result;

@@ -200,6 +200,7 @@ TEST(HitSetStoreStatsTest, HandSeriesHitEntries) {
   MiningOptions options;
   options.period = 3;
   options.min_confidence = 0.5;
+  options.hit_store = HitStoreKind::kMaxSubpatternTree;
   auto result = MineHitSet(source, options);
   ASSERT_TRUE(result.ok());
   // Segment masks: {abc}, {ab}, {ac}, {bc} -- all distinct, all >= 2 letters.
@@ -207,27 +208,28 @@ TEST(HitSetStoreStatsTest, HandSeriesHitEntries) {
   EXPECT_GE(result->stats().tree_nodes, 4u);
 }
 
-TEST(HitSetHashStoreTest, SameResultAsTreeStore) {
+TEST(HitSetVerticalStoreTest, SameResultAsTreeStore) {
   const TimeSeries series = MakeHandSeries();
   MiningOptions options;
   options.period = 3;
   options.min_confidence = 0.5;
 
+  options.hit_store = HitStoreKind::kMaxSubpatternTree;
   InMemorySeriesSource tree_source(&series);
   auto tree_result = MineHitSet(tree_source, options);
-  options.hit_store = HitStoreKind::kHashTable;
-  InMemorySeriesSource hash_source(&series);
-  auto hash_result = MineHitSet(hash_source, options);
+  options.hit_store = HitStoreKind::kVertical;
+  InMemorySeriesSource vertical_source(&series);
+  auto vertical_result = MineHitSet(vertical_source, options);
   ASSERT_TRUE(tree_result.ok());
-  ASSERT_TRUE(hash_result.ok());
-  ASSERT_EQ(tree_result->size(), hash_result->size());
+  ASSERT_TRUE(vertical_result.ok());
+  ASSERT_EQ(tree_result->size(), vertical_result->size());
   for (size_t i = 0; i < tree_result->size(); ++i) {
     EXPECT_EQ(tree_result->patterns()[i].pattern,
-              hash_result->patterns()[i].pattern);
+              vertical_result->patterns()[i].pattern);
     EXPECT_EQ(tree_result->patterns()[i].count,
-              hash_result->patterns()[i].count);
+              vertical_result->patterns()[i].count);
   }
-  EXPECT_EQ(hash_result->stats().tree_nodes, 0u);
+  EXPECT_EQ(vertical_result->stats().tree_nodes, 0u);
 }
 
 TEST_P(MinersTest, ElapsedSecondsIsPopulated) {

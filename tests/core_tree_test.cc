@@ -135,25 +135,40 @@ TEST(MaxSubpatternTreeTest, NodeCountBoundedByHitsTimesLetters) {
   EXPECT_LE(tree.num_nodes(), uint64_t{n} * tree.num_hits() + 1);
 }
 
-// Differential test: tree counting must agree with a flat multiset.
-TEST(MaxSubpatternTreePropertyTest, MatchesFlatCounting) {
+// Differential test: the tree and the vertical store must both agree with a
+// flat multiset, through insertions, evictions, and re-insertions that
+// reuse freed vertical slots.
+TEST(HitStorePropertyTest, TreeAndVerticalMatchFlatCounting) {
   Rng rng(4242);
   for (int round = 0; round < 20; ++round) {
     const uint32_t n = 3 + static_cast<uint32_t>(rng.NextBelow(8));
     MaxSubpatternTree tree(FullMask(n), n);
-    HashHitStore flat;
+    VerticalHitStore vertical(n);
     std::vector<Bitset> hits;
-    const int num_hits = 1 + static_cast<int>(rng.NextBelow(60));
-    for (int i = 0; i < num_hits; ++i) {
-      Bitset mask;
-      for (uint32_t bit = 0; bit < n; ++bit) {
-        if (rng.NextBool(0.4)) mask.Set(bit);
+    const auto add_hits = [&](int num_hits) {
+      for (int i = 0; i < num_hits; ++i) {
+        Bitset mask;
+        for (uint32_t bit = 0; bit < n; ++bit) {
+          if (rng.NextBool(0.4)) mask.Set(bit);
+        }
+        if (mask.Count() < 2) continue;
+        tree.Insert(mask);
+        vertical.AddHit(mask);
+        hits.push_back(mask);
       }
-      if (mask.Count() < 2) continue;
-      tree.Insert(mask);
-      flat.AddHit(mask);
-      hits.push_back(mask);
+    };
+    add_hits(1 + static_cast<int>(rng.NextBelow(60)));
+    for (size_t i = 0; i < hits.size();) {
+      if (rng.NextBool(0.3)) {
+        tree.Remove(hits[i], 1);
+        vertical.RemoveHits(hits[i], 1);
+        hits.erase(hits.begin() + static_cast<std::ptrdiff_t>(i));
+      } else {
+        ++i;
+      }
     }
+    add_hits(static_cast<int>(rng.NextBelow(20)));
+
     // Check a sample of query masks, including empty and full.
     for (int q = 0; q < 40; ++q) {
       Bitset query;
@@ -165,23 +180,93 @@ TEST(MaxSubpatternTreePropertyTest, MatchesFlatCounting) {
         if (query.IsSubsetOf(hit)) ++expected;
       }
       EXPECT_EQ(tree.CountSuperpatterns(query), expected);
-      EXPECT_EQ(flat.CountSuperpatterns(query), expected);
+      EXPECT_EQ(vertical.CountSuperpatterns(query), expected);
     }
-    EXPECT_EQ(tree.CountSuperpatterns(Bitset()), tree.total_hit_count());
-    EXPECT_EQ(tree.num_hits(), flat.num_entries());
+    EXPECT_EQ(tree.CountSuperpatterns(Bitset()), hits.size());
+    EXPECT_EQ(vertical.CountSuperpatterns(Bitset()), hits.size());
+    EXPECT_EQ(vertical.CountSuperpatterns(FullMask(n + 1)), 0u);
+    EXPECT_EQ(tree.num_hits(), vertical.num_entries());
   }
+}
+
+TEST(VerticalHitStoreTest, SlotsAcrossWordsAndQueriesPastStackScratch) {
+  // 150 slots span three column words; 80 letters let a query carry more
+  // columns than the per-call stack buffer holds.
+  const uint32_t n = VerticalHitStore::kStackLetters + 16;
+  Rng rng(77);
+  VerticalHitStore store(n);
+  std::map<Bitset, uint64_t> hits;
+  while (hits.size() < 150) {
+    Bitset mask;
+    for (uint32_t bit = 0; bit < n; ++bit) {
+      if (rng.NextBool(0.95)) mask.Set(bit);
+    }
+    const uint64_t count = 1 + rng.NextBelow(3);
+    store.AddHits(mask, count);
+    hits[mask] += count;
+  }
+  ASSERT_EQ(store.num_entries(), 150u);
+
+  // Sparse random queries, plus every stored mask (about 76 letters each,
+  // past kStackLetters) so each slot, the partial last word included, is
+  // queried at least once.
+  std::vector<Bitset> queries;
+  for (int q = 0; q < 30; ++q) {
+    Bitset query;
+    for (uint32_t bit = 0; bit < n; ++bit) {
+      if (rng.NextBool(0.05)) query.Set(bit);
+    }
+    queries.push_back(query);
+  }
+  for (const auto& [hit, count] : hits) queries.push_back(hit);
+  for (const Bitset& query : queries) {
+    uint64_t expected = 0;
+    for (const auto& [hit, count] : hits) {
+      if (query.IsSubsetOf(hit)) expected += count;
+    }
+    EXPECT_EQ(store.CountSuperpatterns(query), expected);
+  }
+}
+
+TEST(VerticalHitStoreTest, FreedSlotIsReusedWithoutStaleColumnBits) {
+  VerticalHitStore store(6);
+  store.AddHits(MaskOf({0, 1, 2}), 3);  // slot 0
+  store.AddHits(MaskOf({3, 4}), 2);     // slot 1
+  store.RemoveHits(MaskOf({0, 1, 2}), 1);
+  EXPECT_EQ(store.CountSuperpatterns(MaskOf({0, 2})), 2u);
+  store.RemoveHits(MaskOf({0, 1, 2}), 2);  // slot 0 freed
+  EXPECT_EQ(store.num_entries(), 1u);
+  EXPECT_EQ(store.CountSuperpatterns(MaskOf({0})), 0u);
+
+  store.AddHits(MaskOf({1, 5}), 4);  // reuses slot 0
+  EXPECT_EQ(store.num_units(), 2u);
+  EXPECT_EQ(store.CountSuperpatterns(MaskOf({0})), 0u);
+  EXPECT_EQ(store.CountSuperpatterns(MaskOf({2})), 0u);
+  EXPECT_EQ(store.CountSuperpatterns(MaskOf({1})), 4u);
+  EXPECT_EQ(store.CountSuperpatterns(MaskOf({1, 5})), 4u);
+  EXPECT_EQ(store.CountSuperpatterns(MaskOf({1, 2})), 0u);
+  EXPECT_EQ(store.CountSuperpatterns(Bitset()), 6u);
+
+  // Slot order: the reused slot 0 comes first.
+  std::vector<std::pair<std::vector<uint32_t>, uint64_t>> visited;
+  store.ForEachHit([&visited](const Bitset& mask, uint64_t count) {
+    visited.emplace_back(mask.ToVector(), count);
+  });
+  const std::vector<std::pair<std::vector<uint32_t>, uint64_t>> expected = {
+      {{1, 5}, 4}, {{3, 4}, 2}};
+  EXPECT_EQ(visited, expected);
 }
 
 TEST(HitStoreTest, FactoryDispatch) {
   const Bitset full = FullMask(3);
   auto tree_store = MakeHitStore(HitStoreKind::kMaxSubpatternTree, full, 3);
-  auto hash_store = MakeHitStore(HitStoreKind::kHashTable, full, 3);
+  auto vertical_store = MakeHitStore(HitStoreKind::kVertical, full, 3);
   tree_store->AddHit(MaskOf({0, 1}));
-  hash_store->AddHit(MaskOf({0, 1}));
+  vertical_store->AddHit(MaskOf({0, 1}));
   EXPECT_EQ(tree_store->CountSuperpatterns(MaskOf({0})), 1u);
-  EXPECT_EQ(hash_store->CountSuperpatterns(MaskOf({0})), 1u);
+  EXPECT_EQ(vertical_store->CountSuperpatterns(MaskOf({0})), 1u);
   EXPECT_EQ(tree_store->num_entries(), 1u);
-  EXPECT_EQ(hash_store->num_entries(), 1u);
+  EXPECT_EQ(vertical_store->num_entries(), 1u);
   // The tree also reports interior nodes.
   EXPECT_GE(tree_store->num_units(), tree_store->num_entries());
 }

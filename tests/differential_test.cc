@@ -64,7 +64,7 @@ TEST(DifferentialTest, AllMinersAgreeOnRandomSeries) {
       EXPECT_EQ(CountMap(*mined, symbols), oracle_map) << "apriori";
     }
     for (const HitStoreKind store :
-         {HitStoreKind::kMaxSubpatternTree, HitStoreKind::kHashTable}) {
+         {HitStoreKind::kMaxSubpatternTree, HitStoreKind::kVertical}) {
       for (const uint32_t threads : {1u, 2u, 8u}) {
         MiningOptions hitset_options = options;
         hitset_options.hit_store = store;

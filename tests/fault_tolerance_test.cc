@@ -8,6 +8,7 @@
 #include <thread>
 
 #include "core/budget.h"
+#include "core/hit_store.h"
 #include "core/maximal_miner.h"
 #include "core/miner.h"
 #include "core/multi_period.h"
@@ -16,6 +17,7 @@
 #include "tsdb/series_source.h"
 #include "util/cancellation.h"
 #include "util/check.h"
+#include "util/random.h"
 
 namespace ppm {
 namespace {
@@ -142,7 +144,7 @@ TEST(BudgetTest, TinyBudgetWithFailPolicyIsResourceExhausted) {
 }
 
 TEST(BudgetTest, TinyBudgetWithDegradePolicyIsAlsoExhausted) {
-  // 64 bytes fits neither the tree nor the hash store.
+  // 64 bytes fits neither the tree nor the vertical store.
   MiningOptions options = BaseOptions();
   options.memory_budget_bytes = 64;
   options.budget_policy = BudgetPolicy::kDegrade;
@@ -151,10 +153,12 @@ TEST(BudgetTest, TinyBudgetWithDegradePolicyIsAlsoExhausted) {
 }
 
 TEST(BudgetTest, DegradedRunMinesIdenticalPatterns) {
-  // Pick a budget between the hash-store and tree-store predictions so the
-  // degrade policy is forced to fall back, then compare against the
-  // unbudgeted run: the patterns must be byte-for-byte identical.
+  // Pick a budget between the vertical-store and tree-store predictions so
+  // the degrade policy is forced to fall back from the tree, then compare
+  // against the unbudgeted tree run: the patterns must be byte-for-byte
+  // identical.
   MiningOptions unbudgeted = BaseOptions();
+  unbudgeted.hit_store = HitStoreKind::kMaxSubpatternTree;
   const auto reference = Mine(LargeSeries(), unbudgeted);
   ASSERT_TRUE(reference.ok()) << reference.status().ToString();
   ASSERT_GT(reference->stats().tree_nodes, 0u)
@@ -164,20 +168,21 @@ TEST(BudgetTest, DegradedRunMinesIdenticalPatterns) {
   const uint32_t num_letters =
       static_cast<uint32_t>(reference->stats().num_f1_letters);
   const uint64_t entries = HitSetUpperBound(num_periods, num_letters);
-  const uint64_t hash_bytes = PredictHitStoreBytes(HitStoreKind::kHashTable,
-                                                   entries, num_letters);
+  const uint64_t vertical_bytes =
+      PredictHitStoreBytes(HitStoreKind::kVertical, entries, num_letters);
   const uint64_t tree_bytes = PredictHitStoreBytes(
       HitStoreKind::kMaxSubpatternTree, entries, num_letters);
-  ASSERT_LT(hash_bytes, tree_bytes);
+  ASSERT_LT(vertical_bytes, tree_bytes);
 
-  MiningOptions budgeted = BaseOptions();
-  budgeted.memory_budget_bytes = (hash_bytes + tree_bytes) / 2;
+  MiningOptions budgeted = unbudgeted;
+  budgeted.memory_budget_bytes = (vertical_bytes + tree_bytes) / 2;
   budgeted.budget_policy = BudgetPolicy::kDegrade;
   const uint64_t degradations_before = CounterValue("ppm.fault.degradations");
   const auto degraded = Mine(LargeSeries(), budgeted);
   ASSERT_TRUE(degraded.ok()) << degraded.status().ToString();
   EXPECT_GT(CounterValue("ppm.fault.degradations"), degradations_before);
-  EXPECT_EQ(degraded->stats().tree_nodes, 0u) << "should use the hash store";
+  EXPECT_EQ(degraded->stats().tree_nodes, 0u)
+      << "should use the vertical store";
 
   ASSERT_EQ(degraded->size(), reference->size());
   for (size_t i = 0; i < reference->size(); ++i) {
@@ -186,8 +191,27 @@ TEST(BudgetTest, DegradedRunMinesIdenticalPatterns) {
   }
 }
 
+TEST(BudgetTest, VerticalPredictionCoversAStoreFilledToTheBound) {
+  // 40 letters over 1000 periods: Property 3.2 bounds |H| by m = 1000.
+  const uint32_t num_letters = 40;
+  const uint64_t entries = HitSetUpperBound(1000, num_letters);
+  ASSERT_EQ(entries, 1000u);
+  VerticalHitStore store(num_letters);
+  Rng rng(40);
+  while (store.num_entries() < entries) {
+    Bitset mask(num_letters);
+    for (uint32_t letter = 0; letter < num_letters; ++letter) {
+      if (rng.NextBool(0.5)) mask.Set(letter);
+    }
+    if (mask.Count() >= 2) store.AddHit(mask);
+  }
+  EXPECT_GE(PredictHitStoreBytes(HitStoreKind::kVertical, entries, num_letters),
+            store.ApproxMemoryBytes());
+}
+
 TEST(BudgetTest, DecideHitStoreUnlimitedKeepsRequestedStore) {
   MiningOptions options = BaseOptions();
+  options.hit_store = HitStoreKind::kMaxSubpatternTree;
   const auto decision = DecideHitStore(options, 1000, 10);
   ASSERT_TRUE(decision.ok());
   EXPECT_EQ(decision->store, HitStoreKind::kMaxSubpatternTree);

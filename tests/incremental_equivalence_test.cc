@@ -54,9 +54,10 @@ Workload MakeWorkload(uint64_t seed) {
   w.num_features = 2 + static_cast<uint32_t>(rng.NextBelow(4));    // 2..5
   w.options.min_confidence = 0.25 + 0.5 * rng.NextDouble();
   w.options.num_threads = 1;
-  // Cover both decrement paths: the tree's Remove and the hash table's.
+  // Cover both decrement paths: the tree's Remove and the vertical store's
+  // slot release.
   w.options.hit_store = (seed % 2 == 0) ? HitStoreKind::kMaxSubpatternTree
-                                        : HitStoreKind::kHashTable;
+                                        : HitStoreKind::kVertical;
   // Two thirds of the seeds run a sliding window, the rest whole-history.
   if (seed % 3 != 0) {
     w.continuous.window_segments = 3 + static_cast<uint32_t>(rng.NextBelow(8));

@@ -136,6 +136,28 @@ TEST(TracerTest, WriteToBadPathFails) {
   EXPECT_FALSE(tracer.WriteChromeTrace("/nonexistent-dir/trace.json").ok());
 }
 
+TEST(TracerTest, SpansPastTheCapAreTimedButNotRecorded) {
+  Tracer tracer;
+  for (size_t i = 0; i < Tracer::kMaxEvents; ++i) {
+    tracer.StartSpan("kept").End();
+  }
+  const Counter dropped =
+      MetricsRegistry::Global().GetCounter("ppm.trace.dropped");
+  const uint64_t dropped_before = dropped.value();
+  TraceSpan extra = tracer.StartSpan("dropped");
+  EXPECT_GE(extra.ElapsedSeconds(), 0.0);
+  extra.End();
+  const double frozen = extra.ElapsedSeconds();
+  EXPECT_EQ(extra.ElapsedSeconds(), frozen);
+  EXPECT_EQ(tracer.events().size(), Tracer::kMaxEvents);
+  EXPECT_FALSE(tracer.HasSpan("dropped"));
+  EXPECT_EQ(dropped.value(), dropped_before + 1);
+
+  tracer.Clear();
+  tracer.StartSpan("after_clear").End();
+  EXPECT_TRUE(tracer.HasSpan("after_clear"));
+}
+
 TEST(TracerTest, GlobalIsStable) {
   EXPECT_EQ(&Tracer::Global(), &Tracer::Global());
 }

@@ -71,7 +71,7 @@ TEST(HitStoreMergeTest, MergedCountsAreAdditive) {
   cd.Set(3);
 
   for (const HitStoreKind kind :
-       {HitStoreKind::kMaxSubpatternTree, HitStoreKind::kHashTable}) {
+       {HitStoreKind::kMaxSubpatternTree, HitStoreKind::kVertical}) {
     auto combined = MakeHitStore(kind, full, num_letters);
     auto shard_a = MakeHitStore(kind, full, num_letters);
     auto shard_b = MakeHitStore(kind, full, num_letters);
@@ -96,7 +96,7 @@ TEST(HitStoreMergeTest, MergedCountsAreAdditive) {
 
 TEST(HitStoreMergeTest, MergeAcrossStoreKinds) {
   // Merge goes through the virtual ForEachHit/AddHits interface, so a tree
-  // store can absorb a hash store's hits (and vice versa).
+  // store can absorb a vertical store's hits (and vice versa).
   const uint32_t num_letters = 3;
   Bitset full(num_letters);
   for (uint32_t i = 0; i < num_letters; ++i) full.Set(i);
@@ -105,10 +105,10 @@ TEST(HitStoreMergeTest, MergeAcrossStoreKinds) {
   pair.Set(2);
 
   auto tree = MakeHitStore(HitStoreKind::kMaxSubpatternTree, full, num_letters);
-  auto hash = MakeHitStore(HitStoreKind::kHashTable, full, num_letters);
-  hash->AddHit(pair);
-  hash->AddHit(full);
-  tree->Merge(*hash);
+  auto vertical = MakeHitStore(HitStoreKind::kVertical, full, num_letters);
+  vertical->AddHit(pair);
+  vertical->AddHit(full);
+  tree->Merge(*vertical);
   EXPECT_EQ(tree->CountSuperpatterns(pair), 2u);
   EXPECT_EQ(tree->num_entries(), 2u);
 }

@@ -253,25 +253,26 @@ TEST(StreamingMinerTest, SeededLetterCanDropBelowThreshold) {
   EXPECT_EQ(snapshot.patterns()[0].count, 10u);
 }
 
-TEST(StreamingMinerTest, HashStoreGivesSameSnapshots) {
+TEST(StreamingMinerTest, VerticalStoreGivesSameSnapshots) {
   const TimeSeries series = MakeSeries(1200, 13);
   MiningOptions tree_options = DefaultOptions();
-  MiningOptions hash_options = DefaultOptions();
-  hash_options.hit_store = HitStoreKind::kHashTable;
+  tree_options.hit_store = HitStoreKind::kMaxSubpatternTree;
+  MiningOptions vertical_options = DefaultOptions();
+  vertical_options.hit_store = HitStoreKind::kVertical;
 
   TimeSeries prefix;
   prefix.symbols() = series.symbols();
   for (uint64_t t = 0; t < 400; ++t) prefix.Append(series.at(t));
   auto tree_miner = StreamingMiner::SeedFromPrefix(tree_options, prefix);
-  auto hash_miner = StreamingMiner::SeedFromPrefix(hash_options, prefix);
+  auto vertical_miner = StreamingMiner::SeedFromPrefix(vertical_options, prefix);
   ASSERT_TRUE(tree_miner.ok());
-  ASSERT_TRUE(hash_miner.ok());
+  ASSERT_TRUE(vertical_miner.ok());
   for (uint64_t t = 400; t < series.length(); ++t) {
     (*tree_miner)->Append(series.at(t));
-    (*hash_miner)->Append(series.at(t));
+    (*vertical_miner)->Append(series.at(t));
   }
   EXPECT_EQ(AsCountMap((*tree_miner)->Snapshot(), series.symbols()),
-            AsCountMap((*hash_miner)->Snapshot(), series.symbols()));
+            AsCountMap((*vertical_miner)->Snapshot(), series.symbols()));
 }
 
 TEST(StreamingMinerTest, CreateValidation) {
