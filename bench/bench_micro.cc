@@ -4,7 +4,7 @@
 
 #include <benchmark/benchmark.h>
 
-#include <sstream>
+#include <string>
 #include <vector>
 
 #include "core/candidate_gen.h"
@@ -13,8 +13,8 @@
 #include "core/letter_space.h"
 #include "core/max_subpattern_tree.h"
 #include "synth/generator.h"
-#include "tsdb/binary_format.h"
 #include "tsdb/series_source.h"
+#include "util/bytes.h"
 #include "util/random.h"
 
 namespace ppm {
@@ -121,19 +121,18 @@ void BM_GenerateCandidates(benchmark::State& state) {
 BENCHMARK(BM_GenerateCandidates)->Arg(8)->Arg(16)->Arg(24);
 
 void BM_VarintRoundTrip(benchmark::State& state) {
-  // Encode+decode a block of delta-encoded ids through stringstreams.
+  // Encode+decode a block of delta-encoded ids with the shared byte codec.
   Rng rng(5);
   std::vector<uint32_t> values;
   for (int i = 0; i < 1024; ++i) {
     values.push_back(static_cast<uint32_t>(rng.NextBelow(1u << state.range(0))));
   }
   for (auto _ : state) {
-    std::stringstream buffer;
-    for (uint32_t v : values) tsdb::internal::WriteVarint32(buffer, v);
+    std::string buffer;
+    for (uint32_t v : values) bytes::PutVarint32(&buffer, v);
+    bytes::ByteReader reader(buffer);
     uint32_t out = 0;
-    for (size_t i = 0; i < values.size(); ++i) {
-      tsdb::internal::ReadVarint32(buffer, &out);
-    }
+    for (size_t i = 0; i < values.size(); ++i) reader.ReadVarint32(&out);
     benchmark::DoNotOptimize(out);
   }
   state.SetItemsProcessed(state.iterations() * 1024);

@@ -3,11 +3,19 @@
 #include <algorithm>
 #include <utility>
 
-#include "dist/framing.h"
+#include "util/bytes.h"
+#include "util/crc32c.h"
+#include "util/frame.h"
+#include "util/fs.h"
 
 namespace ppm::dist {
 
 namespace {
+
+using bytes::PutF64;
+using bytes::PutString;
+using bytes::PutU32;
+using bytes::PutU64;
 
 /// Caps on decoded collection sizes, checked before any allocation.
 constexpr uint32_t kMaxInputs = 1u << 20;
@@ -156,7 +164,7 @@ std::string EncodePlanBody(const ShardPlan& plan) {
 }
 
 Result<ShardPlan> DecodePlanBody(std::string_view body) {
-  BodyReader reader(body);
+  bytes::ByteReader reader(body);
   ShardPlan plan;
   uint32_t version = 0;
   if (!reader.ReadU32(&version)) return PlanCorrupt("truncated version");
@@ -203,13 +211,14 @@ Result<ShardPlan> DecodePlanBody(std::string_view body) {
 Status WritePlanFile(ShardPlan* plan, const std::string& path) {
   PPM_RETURN_IF_ERROR(ValidatePlan(*plan));
   const std::string body = EncodePlanBody(*plan);
-  plan->fingerprint = BodyFingerprint(body);
-  return WriteFramedFile(path, kPlanMagic, body);
+  plan->fingerprint = crc32c::Value(body);
+  return fsutil::AtomicWriteFile(path, frame::EncodeFile(kPlanMagic, body));
 }
 
 Result<ShardPlan> ReadPlanFile(const std::string& path) {
-  PPM_ASSIGN_OR_RETURN(const std::string body,
-                       ReadFramedFile(path, kPlanMagic));
+  PPM_ASSIGN_OR_RETURN(const std::string file, fsutil::ReadFileBytes(path));
+  PPM_ASSIGN_OR_RETURN(const std::string_view body,
+                       frame::DecodeFile(file, kPlanMagic, path));
   PPM_ASSIGN_OR_RETURN(ShardPlan plan, DecodePlanBody(body));
   const Status valid = ValidatePlan(plan);
   if (!valid.ok()) {
@@ -218,7 +227,7 @@ Result<ShardPlan> ReadPlanFile(const std::string& path) {
     // so callers treat it like any other unusable manifest.
     return Status::Corruption(valid.message());
   }
-  plan.fingerprint = BodyFingerprint(body);
+  plan.fingerprint = crc32c::Value(body);
   return plan;
 }
 

@@ -2,11 +2,17 @@
 
 #include <algorithm>
 
-#include "dist/framing.h"
+#include "util/bytes.h"
+#include "util/frame.h"
+#include "util/fs.h"
 
 namespace ppm::dist {
 
 namespace {
+
+using bytes::PutString;
+using bytes::PutU32;
+using bytes::PutU64;
 
 constexpr uint32_t kMaxSymbols = 1u << 24;
 constexpr uint32_t kMaxSymbolNameBytes = 1u << 20;
@@ -48,7 +54,7 @@ std::string EncodeShardResultBody(const ShardResult& result) {
 }
 
 Result<ShardResult> DecodeShardResultBody(std::string_view body) {
-  BodyReader reader(body);
+  bytes::ByteReader reader(body);
   ShardResult result;
   uint32_t version = 0;
   if (!reader.ReadU32(&version)) return ResultCorrupt("truncated version");
@@ -119,12 +125,14 @@ Result<ShardResult> DecodeShardResultBody(std::string_view body) {
 
 Status WriteShardResultFile(const ShardResult& result,
                             const std::string& path) {
-  return WriteFramedFile(path, kResultMagic, EncodeShardResultBody(result));
+  return fsutil::AtomicWriteFile(
+      path, frame::EncodeFile(kResultMagic, EncodeShardResultBody(result)));
 }
 
 Result<ShardResult> ReadShardResultFile(const std::string& path) {
-  PPM_ASSIGN_OR_RETURN(const std::string body,
-                       ReadFramedFile(path, kResultMagic));
+  PPM_ASSIGN_OR_RETURN(const std::string file, fsutil::ReadFileBytes(path));
+  PPM_ASSIGN_OR_RETURN(const std::string_view body,
+                       frame::DecodeFile(file, kResultMagic, path));
   return DecodeShardResultBody(body);
 }
 

@@ -9,11 +9,13 @@ namespace ppm::obs {
 
 namespace {
 
+#ifndef PPM_OBS_DISABLED
 double SecondsSince(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                        start)
       .count();
 }
+#endif  // PPM_OBS_DISABLED
 
 Status WriteFile(const std::string& path, const std::string& content) {
   std::ofstream out(path, std::ios::trunc);

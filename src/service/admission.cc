@@ -1,11 +1,11 @@
 #include "service/admission.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <sstream>
 
 #include "obs/metrics.h"
+#include "util/stopwatch.h"
 
 namespace ppm::service {
 
@@ -17,13 +17,6 @@ namespace {
 constexpr size_t kMaxTrackedTenants = 256;
 constexpr char kOverflowTenant[] = "!overflow";
 constexpr char kDefaultTenant[] = "default";
-
-uint64_t SteadyNowMs() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::milliseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 Result<double> ParseNonNegative(const std::string& text,
                                 const std::string& what) {

@@ -12,19 +12,14 @@
 #include <cstring>
 #include <utility>
 
-#include "util/crc32c.h"
+#include "util/bytes.h"
+#include "util/frame.h"
 #include "util/log.h"
+#include "util/stopwatch.h"
 
 namespace ppm::service {
 
 namespace {
-
-uint64_t SteadyNowMs() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::milliseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 Status SetNonBlocking(int fd) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
@@ -367,29 +362,21 @@ bool PatternServer::ProcessInbuf(Conn* conn) {
       conn->got_magic = true;
       continue;
     }
-    if (conn->inbuf.size() < 8) break;
-    uint32_t length = 0;
-    uint32_t crc = 0;
-    for (int i = 0; i < 4; ++i) {
-      length |= static_cast<uint32_t>(
-                    static_cast<uint8_t>(conn->inbuf[i]))
-                << (8 * i);
-      crc |= static_cast<uint32_t>(
-                 static_cast<uint8_t>(conn->inbuf[4 + i]))
-             << (8 * i);
-    }
-    if (length > wire::kMaxFramePayloadBytes) {
-      PPM_LOG(kWarn) << "ppmd dropping connection: oversized frame ("
-                     << length << " bytes)";
+    bytes::ByteReader in(conn->inbuf);
+    std::string_view body;
+    const frame::BlockError error = frame::ReadBlock(
+        &in, frame::LenWidth::kU32, wire::kMaxFramePayloadBytes, &body);
+    if (error == frame::BlockError::kTruncated) break;  // Wait for more.
+    if (error == frame::BlockError::kTooLong) {
+      PPM_LOG(kWarn) << "ppmd dropping connection: oversized frame";
       return false;
     }
-    if (conn->inbuf.size() < 8 + static_cast<size_t>(length)) break;
-    const std::string payload = conn->inbuf.substr(8, length);
-    conn->inbuf.erase(0, 8 + static_cast<size_t>(length));
-    if (crc32c::Value(payload.data(), payload.size()) != crc) {
+    if (error == frame::BlockError::kChecksum) {
       PPM_LOG(kWarn) << "ppmd dropping connection: frame checksum mismatch";
       return false;
     }
+    const std::string payload(body);
+    conn->inbuf.erase(0, in.position());
     if (!HandleFrame(conn, payload)) return false;
   }
   // Arm the io deadline while a partial magic/frame is pending; disarm

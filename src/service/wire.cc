@@ -5,162 +5,51 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <chrono>
 #include <cstring>
 
-#include "util/crc32c.h"
+#include "tsdb/instant_codec.h"
+#include "util/bytes.h"
+#include "util/frame.h"
+#include "util/stopwatch.h"
 
 namespace ppm::service::wire {
 
 namespace {
 
-// ---------------------------------------------------------------------------
-// Payload encoding primitives.
+using bytes::PutF64;
+using bytes::PutString;
+using bytes::PutU32;
+using bytes::PutU64;
+using bytes::PutU8;
 
-void PutU8(std::string* out, uint8_t value) {
-  out->push_back(static_cast<char>(value));
+Status Truncated() {
+  return Status::InvalidArgument("truncated PPMRPC1 payload");
 }
 
-void PutU32(std::string* out, uint32_t value) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<char>((value >> (8 * i)) & 0xff));
-  }
+/// Reads a string; every PPMRPC1 read failure is a truncated payload.
+Status ReadString(bytes::ByteReader* reader, std::string* value) {
+  return reader->ReadString(value) ? Status::OK() : Truncated();
 }
-
-void PutU64(std::string* out, uint64_t value) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>((value >> (8 * i)) & 0xff));
-  }
-}
-
-void PutF64(std::string* out, double value) {
-  uint64_t bits;
-  static_assert(sizeof(bits) == sizeof(value));
-  std::memcpy(&bits, &value, sizeof(bits));
-  PutU64(out, bits);
-}
-
-void PutString(std::string* out, std::string_view value) {
-  PutU32(out, static_cast<uint32_t>(value.size()));
-  out->append(value.data(), value.size());
-}
-
-/// Bounds-checked little-endian reader over a payload.
-class Reader {
- public:
-  explicit Reader(std::string_view data) : data_(data) {}
-
-  Status U8(uint8_t* value) {
-    PPM_RETURN_IF_ERROR(Need(1));
-    *value = static_cast<uint8_t>(data_[pos_++]);
-    return Status::OK();
-  }
-
-  Status U32(uint32_t* value) {
-    PPM_RETURN_IF_ERROR(Need(4));
-    uint32_t out = 0;
-    for (int i = 0; i < 4; ++i) {
-      out |= static_cast<uint32_t>(static_cast<uint8_t>(data_[pos_ + i]))
-             << (8 * i);
-    }
-    pos_ += 4;
-    *value = out;
-    return Status::OK();
-  }
-
-  Status U64(uint64_t* value) {
-    PPM_RETURN_IF_ERROR(Need(8));
-    uint64_t out = 0;
-    for (int i = 0; i < 8; ++i) {
-      out |= static_cast<uint64_t>(static_cast<uint8_t>(data_[pos_ + i]))
-             << (8 * i);
-    }
-    pos_ += 8;
-    *value = out;
-    return Status::OK();
-  }
-
-  Status F64(double* value) {
-    uint64_t bits = 0;
-    PPM_RETURN_IF_ERROR(U64(&bits));
-    std::memcpy(value, &bits, sizeof(*value));
-    return Status::OK();
-  }
-
-  Status String(std::string* value) {
-    uint32_t length = 0;
-    PPM_RETURN_IF_ERROR(U32(&length));
-    PPM_RETURN_IF_ERROR(Need(length));
-    value->assign(data_.data() + pos_, length);
-    pos_ += length;
-    return Status::OK();
-  }
-
-  bool Done() const { return pos_ == data_.size(); }
-
-  size_t remaining() const { return data_.size() - pos_; }
-
- private:
-  Status Need(size_t n) {
-    if (data_.size() - pos_ < n) {
-      return Status::InvalidArgument("truncated PPMRPC1 payload");
-    }
-    return Status::OK();
-  }
-
-  std::string_view data_;
-  size_t pos_ = 0;
-};
 
 // ---------------------------------------------------------------------------
-// Series block: u32 nsymbols + names, u64 ninstants, per instant a u32
-// feature count + sorted u32 ids (validated against nsymbols on decode).
+// Series block: the series header, then every instant fixed-width (the
+// .ppmts v1 body, docs/FILE_FORMATS.md), ids checked against the symbols.
 
 void PutSeries(std::string* out, const tsdb::TimeSeries& series) {
-  const auto& names = series.symbols().names();
-  PutU32(out, static_cast<uint32_t>(names.size()));
-  for (const std::string& name : names) PutString(out, name);
-  PutU64(out, series.length());
-  for (const tsdb::FeatureSet& instant : series.instants()) {
-    PutU32(out, instant.Count());
-    instant.ForEach([out](uint32_t id) { PutU32(out, id); });
-  }
+  tsdb::PutSeriesHeader(out, series.symbols(), series.length());
+  tsdb::PutInstants(out, series, tsdb::InstantEncoding::kFixed32);
 }
 
-Status ReadSeries(Reader* reader, tsdb::TimeSeries* series) {
-  uint32_t num_symbols = 0;
-  PPM_RETURN_IF_ERROR(reader->U32(&num_symbols));
-  std::string name;
-  for (uint32_t i = 0; i < num_symbols; ++i) {
-    PPM_RETURN_IF_ERROR(reader->String(&name));
-    const tsdb::FeatureId id = series->symbols().Intern(name);
-    if (id != i) {
-      return Status::InvalidArgument("duplicate symbol in PPMRPC1 series: " +
-                                     name);
-    }
-  }
+Status ReadSeries(bytes::ByteReader* reader, tsdb::TimeSeries* series) {
   uint64_t num_instants = 0;
-  PPM_RETURN_IF_ERROR(reader->U64(&num_instants));
-  // 5 bytes is the smallest possible instant encoding; anything claiming
-  // more instants than the remaining bytes allow is corrupt, not huge.
-  if (num_instants > reader->remaining() / 4) {
-    return Status::InvalidArgument("truncated PPMRPC1 payload");
+  Status status =
+      tsdb::ReadSeriesHeader(reader, &series->symbols(), &num_instants);
+  if (status.ok()) {
+    status = tsdb::ReadInstants(reader, tsdb::InstantEncoding::kFixed32,
+                                num_instants, series);
   }
-  for (uint64_t t = 0; t < num_instants; ++t) {
-    uint32_t count = 0;
-    PPM_RETURN_IF_ERROR(reader->U32(&count));
-    tsdb::FeatureSet instant;
-    for (uint32_t i = 0; i < count; ++i) {
-      uint32_t id = 0;
-      PPM_RETURN_IF_ERROR(reader->U32(&id));
-      if (id >= num_symbols) {
-        return Status::InvalidArgument(
-            "feature id out of range in PPMRPC1 series: " +
-            std::to_string(id));
-      }
-      instant.Set(id);
-    }
-    series->Append(std::move(instant));
+  if (!status.ok()) {
+    return Status::InvalidArgument("bad PPMRPC1 series: " + status.message());
   }
   return Status::OK();
 }
@@ -225,13 +114,13 @@ std::string EncodeRequest(const Request& request, uint8_t version) {
 }
 
 Result<Request> DecodeRequest(std::string_view payload) {
-  Reader reader(payload);
+  bytes::ByteReader reader(payload);
   Request request;
   uint8_t op = 0;
-  PPM_RETURN_IF_ERROR(reader.U8(&op));
+  if (!reader.ReadU8(&op)) return Truncated();
   if (op == kV2Marker) {
     request.wire_version = 2;
-    PPM_RETURN_IF_ERROR(reader.U8(&op));
+    if (!reader.ReadU8(&op)) return Truncated();
   }
   const uint8_t max_op = request.wire_version >= 2
                              ? static_cast<uint8_t>(Op::kReady)
@@ -240,30 +129,28 @@ Result<Request> DecodeRequest(std::string_view payload) {
     return Status::InvalidArgument("unknown PPMRPC1 op: " + std::to_string(op));
   }
   request.op = static_cast<Op>(op);
-  PPM_RETURN_IF_ERROR(reader.U32(&request.deadline_ms));
+  if (!reader.ReadU32(&request.deadline_ms)) return Truncated();
   if (request.wire_version >= 2) {
-    PPM_RETURN_IF_ERROR(reader.String(&request.tenant));
+    PPM_RETURN_IF_ERROR(ReadString(&reader, &request.tenant));
   }
-  PPM_RETURN_IF_ERROR(reader.String(&request.name));
+  PPM_RETURN_IF_ERROR(ReadString(&reader, &request.name));
   switch (request.op) {
     case Op::kPut:
       PPM_RETURN_IF_ERROR(ReadSeries(&reader, &request.series));
       break;
     case Op::kAppend: {
       uint64_t num_instants = 0;
-      PPM_RETURN_IF_ERROR(reader.U64(&num_instants));
-      if (num_instants > reader.remaining() / 4) {
-        return Status::InvalidArgument("truncated PPMRPC1 payload");
-      }
+      if (!reader.ReadU64(&num_instants)) return Truncated();
+      if (num_instants > reader.remaining() / 4) return Truncated();
       request.instants.reserve(num_instants);
       for (uint64_t t = 0; t < num_instants; ++t) {
         uint32_t count = 0;
-        PPM_RETURN_IF_ERROR(reader.U32(&count));
+        if (!reader.ReadU32(&count)) return Truncated();
         std::vector<std::string> instant;
         instant.reserve(count < 64 ? count : 64);
         for (uint32_t i = 0; i < count; ++i) {
           std::string feature;
-          PPM_RETURN_IF_ERROR(reader.String(&feature));
+          PPM_RETURN_IF_ERROR(ReadString(&reader, &feature));
           instant.push_back(std::move(feature));
         }
         request.instants.push_back(std::move(instant));
@@ -272,11 +159,13 @@ Result<Request> DecodeRequest(std::string_view payload) {
     }
     case Op::kMine:
     case Op::kQuery:
-      PPM_RETURN_IF_ERROR(reader.U32(&request.period));
-      PPM_RETURN_IF_ERROR(reader.F64(&request.min_confidence));
-      PPM_RETURN_IF_ERROR(reader.U64(&request.min_count));
-      PPM_RETURN_IF_ERROR(reader.U32(&request.max_letters));
-      PPM_RETURN_IF_ERROR(reader.U8(&request.algorithm));
+      if (!(reader.ReadU32(&request.period) &&
+            reader.ReadF64(&request.min_confidence) &&
+            reader.ReadU64(&request.min_count) &&
+            reader.ReadU32(&request.max_letters) &&
+            reader.ReadU8(&request.algorithm))) {
+        return Truncated();
+      }
       break;
     case Op::kGet:
     case Op::kStats:
@@ -285,7 +174,7 @@ Result<Request> DecodeRequest(std::string_view payload) {
     case Op::kReady:
       break;
   }
-  if (!reader.Done()) {
+  if (!reader.exhausted()) {
     return Status::InvalidArgument("trailing bytes in PPMRPC1 request");
   }
   return request;
@@ -330,74 +219,73 @@ std::string EncodeResponse(const Response& response, uint8_t version) {
 }
 
 Result<Response> DecodeResponse(std::string_view payload) {
-  Reader reader(payload);
+  bytes::ByteReader reader(payload);
   Response response;
   uint8_t version = 1;
-  PPM_RETURN_IF_ERROR(reader.U8(&response.code));
+  if (!reader.ReadU8(&response.code)) return Truncated();
   if (response.code == kV2Marker) {
     version = 2;
-    PPM_RETURN_IF_ERROR(reader.U8(&response.code));
+    if (!reader.ReadU8(&response.code)) return Truncated();
   }
-  PPM_RETURN_IF_ERROR(reader.String(&response.message));
-  PPM_RETURN_IF_ERROR(reader.U8(&response.cache_outcome));
-  PPM_RETURN_IF_ERROR(reader.U64(&response.version));
-  PPM_RETURN_IF_ERROR(reader.U64(&response.length));
-  PPM_RETURN_IF_ERROR(reader.U64(&response.num_periods));
-  PPM_RETURN_IF_ERROR(reader.U32(&response.period));
+  PPM_RETURN_IF_ERROR(ReadString(&reader, &response.message));
   uint32_t num_symbols = 0;
-  PPM_RETURN_IF_ERROR(reader.U32(&num_symbols));
-  if (num_symbols > reader.remaining() / 4) {
-    return Status::InvalidArgument("truncated PPMRPC1 payload");
+  if (!(reader.ReadU8(&response.cache_outcome) &&
+        reader.ReadU64(&response.version) && reader.ReadU64(&response.length) &&
+        reader.ReadU64(&response.num_periods) &&
+        reader.ReadU32(&response.period) && reader.ReadU32(&num_symbols))) {
+    return Truncated();
   }
+  if (num_symbols > reader.remaining() / 4) return Truncated();
   response.symbols.reserve(num_symbols);
   for (uint32_t i = 0; i < num_symbols; ++i) {
     std::string symbol;
-    PPM_RETURN_IF_ERROR(reader.String(&symbol));
+    PPM_RETURN_IF_ERROR(ReadString(&reader, &symbol));
     response.symbols.push_back(std::move(symbol));
   }
   uint64_t num_patterns = 0;
-  PPM_RETURN_IF_ERROR(reader.U64(&num_patterns));
-  if (num_patterns > reader.remaining() / 4) {
-    return Status::InvalidArgument("truncated PPMRPC1 payload");
-  }
+  if (!reader.ReadU64(&num_patterns)) return Truncated();
+  if (num_patterns > reader.remaining() / 4) return Truncated();
   response.patterns.reserve(num_patterns);
   for (uint64_t i = 0; i < num_patterns; ++i) {
     WirePattern pattern;
     uint32_t num_letters = 0;
-    PPM_RETURN_IF_ERROR(reader.U32(&num_letters));
-    if (num_letters > reader.remaining() / 8) {
-      return Status::InvalidArgument("truncated PPMRPC1 payload");
-    }
+    if (!reader.ReadU32(&num_letters)) return Truncated();
+    if (num_letters > reader.remaining() / 8) return Truncated();
     pattern.letters.reserve(num_letters);
     for (uint32_t j = 0; j < num_letters; ++j) {
       uint32_t position = 0;
       uint32_t feature = 0;
-      PPM_RETURN_IF_ERROR(reader.U32(&position));
-      PPM_RETURN_IF_ERROR(reader.U32(&feature));
+      if (!(reader.ReadU32(&position) && reader.ReadU32(&feature))) {
+        return Truncated();
+      }
       if (position >= response.period && response.period != 0) {
         return Status::InvalidArgument(
             "letter position out of range in PPMRPC1 response");
       }
       pattern.letters.emplace_back(position, feature);
     }
-    PPM_RETURN_IF_ERROR(reader.U64(&pattern.count));
-    PPM_RETURN_IF_ERROR(reader.F64(&pattern.confidence));
+    if (!(reader.ReadU64(&pattern.count) &&
+          reader.ReadF64(&pattern.confidence))) {
+      return Truncated();
+    }
     response.patterns.push_back(std::move(pattern));
   }
   uint8_t has_series = 0;
-  PPM_RETURN_IF_ERROR(reader.U8(&has_series));
+  if (!reader.ReadU8(&has_series)) return Truncated();
   response.has_series = has_series != 0;
   if (response.has_series) {
     PPM_RETURN_IF_ERROR(ReadSeries(&reader, &response.series));
   }
-  PPM_RETURN_IF_ERROR(reader.String(&response.stats_json));
-  PPM_RETURN_IF_ERROR(reader.String(&response.metrics_prom));
+  PPM_RETURN_IF_ERROR(ReadString(&reader, &response.stats_json));
+  PPM_RETURN_IF_ERROR(ReadString(&reader, &response.metrics_prom));
   if (version >= 2) {
-    PPM_RETURN_IF_ERROR(reader.U32(&response.retry_after_ms));
-    PPM_RETURN_IF_ERROR(reader.U8(&response.ready_state));
-    PPM_RETURN_IF_ERROR(reader.String(&response.health_json));
+    if (!(reader.ReadU32(&response.retry_after_ms) &&
+          reader.ReadU8(&response.ready_state))) {
+      return Truncated();
+    }
+    PPM_RETURN_IF_ERROR(ReadString(&reader, &response.health_json));
   }
-  if (!reader.Done()) {
+  if (!reader.exhausted()) {
     return Status::InvalidArgument("trailing bytes in PPMRPC1 response");
   }
   return response;
@@ -407,13 +295,6 @@ Result<Response> DecodeResponse(std::string_view payload) {
 // Frame I/O.
 
 namespace {
-
-uint64_t SteadyNowMs() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::milliseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 /// Writes exactly `n` bytes. Sends are issued with MSG_DONTWAIT so the same
 /// path serves blocking and non-blocking fds: on a full socket buffer we
@@ -509,10 +390,7 @@ Status ExpectMagic(int fd) {
 
 std::string EncodeFrame(std::string_view payload) {
   std::string out;
-  out.reserve(payload.size() + 8);
-  PutU32(&out, static_cast<uint32_t>(payload.size()));
-  PutU32(&out, crc32c::Value(payload.data(), payload.size()));
-  out.append(payload.data(), payload.size());
+  frame::PutBlock(&out, payload, frame::LenWidth::kU32);
   return out;
 }
 
@@ -527,23 +405,23 @@ Status WriteFrame(int fd, std::string_view payload, uint64_t timeout_ms) {
 
 Result<std::string> ReadFrame(int fd,
                               const std::function<bool()>& should_stop) {
-  uint8_t header[8];
+  char header_bytes[frame::HeaderBytes(frame::LenWidth::kU32)];
   bool eof = false;
-  PPM_RETURN_IF_ERROR(ReadAll(fd, header, sizeof(header), should_stop, &eof));
-  uint32_t length = 0;
-  uint32_t crc = 0;
-  for (int i = 0; i < 4; ++i) {
-    length |= static_cast<uint32_t>(header[i]) << (8 * i);
-    crc |= static_cast<uint32_t>(header[4 + i]) << (8 * i);
-  }
-  if (length > kMaxFramePayloadBytes) {
+  PPM_RETURN_IF_ERROR(
+      ReadAll(fd, header_bytes, sizeof(header_bytes), should_stop, &eof));
+  bytes::ByteReader header_in(
+      std::string_view(header_bytes, sizeof(header_bytes)));
+  frame::BlockHeader header;
+  if (frame::ReadHeader(&header_in, frame::LenWidth::kU32,
+                        kMaxFramePayloadBytes,
+                        &header) != frame::BlockError::kOk) {
     return Status::InvalidArgument("PPMRPC1 frame too large: " +
-                                   std::to_string(length) + " bytes");
+                                   std::to_string(header.len) + " bytes");
   }
-  std::string payload(length, '\0');
+  std::string payload(header.len, '\0');
   PPM_RETURN_IF_ERROR(
       ReadAll(fd, payload.data(), payload.size(), should_stop, nullptr));
-  if (crc32c::Value(payload.data(), payload.size()) != crc) {
+  if (frame::VerifyBody(header, payload) != frame::BlockError::kOk) {
     return Status::Corruption("PPMRPC1 frame checksum mismatch");
   }
   return payload;

@@ -1,157 +1,93 @@
 #include "stream/checkpoint.h"
 
 #include <cmath>
-#include <cstring>
-#include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <utility>
 
 #include "obs/metrics.h"
 #include "tsdb/fault_injection.h"
-#include "util/crc32c.h"
+#include "util/bytes.h"
+#include "util/frame.h"
 #include "util/fs.h"
 
 namespace ppm::stream {
 
-namespace fs = std::filesystem;
-
 namespace {
+
+using bytes::PutF64;
+using bytes::PutString;
+using bytes::PutU32;
+using bytes::PutU64;
 
 /// Caps on decoded collection sizes, checked before any allocation.
 constexpr uint32_t kMaxSymbols = 1u << 24;
 constexpr uint32_t kMaxSymbolNameBytes = 1u << 20;
 constexpr uint32_t kMaxLetters = 1u << 24;
 
-void AppendU32(std::string* out, uint32_t value) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<char>((value >> (8 * i)) & 0xff));
-  }
-}
-
-void AppendU64(std::string* out, uint64_t value) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>((value >> (8 * i)) & 0xff));
-  }
-}
-
-/// Bounds-checked sequential reader over the state block. Every failed
-/// read is reported by the caller as `kCorruption`.
-class Cursor {
- public:
-  Cursor(const char* data, size_t size) : data_(data), size_(size) {}
-
-  bool ReadU32(uint32_t* value) {
-    if (size_ - pos_ < 4) return false;
-    *value = 0;
-    for (int i = 0; i < 4; ++i) {
-      *value |= static_cast<uint32_t>(
-                    static_cast<unsigned char>(data_[pos_ + i]))
-                << (8 * i);
-    }
-    pos_ += 4;
-    return true;
-  }
-
-  bool ReadU64(uint64_t* value) {
-    if (size_ - pos_ < 8) return false;
-    *value = 0;
-    for (int i = 0; i < 8; ++i) {
-      *value |= static_cast<uint64_t>(
-                    static_cast<unsigned char>(data_[pos_ + i]))
-                << (8 * i);
-    }
-    pos_ += 8;
-    return true;
-  }
-
-  bool ReadBytes(std::string* out, size_t n) {
-    if (size_ - pos_ < n) return false;
-    out->assign(data_ + pos_, n);
-    pos_ += n;
-    return true;
-  }
-
-  size_t remaining() const { return size_ - pos_; }
-  bool exhausted() const { return pos_ == size_; }
-
- private:
-  const char* data_;
-  size_t size_;
-  size_t pos_ = 0;
-};
-
 std::string EncodeState(const CheckpointData& data) {
   const StreamingMinerState& state = data.state.core;
   std::string out;
-  AppendU32(&out, kCheckpointVersion);
-  AppendU32(&out, data.period);
-  uint64_t conf_bits = 0;
-  static_assert(sizeof(conf_bits) == sizeof(data.min_confidence));
-  std::memcpy(&conf_bits, &data.min_confidence, sizeof(conf_bits));
-  AppendU64(&out, conf_bits);
-  AppendU64(&out, data.min_count);
-  AppendU32(&out, data.max_letters);
-  AppendU32(&out, static_cast<uint32_t>(data.hit_store));
-  AppendU32(&out, state.drift_window);
-  AppendU32(&out, data.state.window_segments);  // v2
-  AppendU64(&out, state.instants_seen);
-  AppendU64(&out, state.segments_committed);
-  AppendU32(&out, static_cast<uint32_t>(data.symbols.size()));
-  for (const std::string& name : data.symbols) {
-    AppendU32(&out, static_cast<uint32_t>(name.size()));
-    out += name;
-  }
-  AppendU32(&out, static_cast<uint32_t>(state.letters.size()));
+  PutU32(&out, kCheckpointVersion);
+  PutU32(&out, data.period);
+  PutF64(&out, data.min_confidence);
+  PutU64(&out, data.min_count);
+  PutU32(&out, data.max_letters);
+  PutU32(&out, static_cast<uint32_t>(data.hit_store));
+  PutU32(&out, state.drift_window);
+  PutU32(&out, data.state.window_segments);  // v2
+  PutU64(&out, state.instants_seen);
+  PutU64(&out, state.segments_committed);
+  PutU32(&out, static_cast<uint32_t>(data.symbols.size()));
+  for (const std::string& name : data.symbols) PutString(&out, name);
+  PutU32(&out, static_cast<uint32_t>(state.letters.size()));
   for (const Letter& letter : state.letters) {
-    AppendU32(&out, letter.position);
-    AppendU32(&out, letter.feature);
+    PutU32(&out, letter.position);
+    PutU32(&out, letter.feature);
   }
-  for (const uint64_t count : state.seeded_counts) AppendU64(&out, count);
+  for (const uint64_t count : state.seeded_counts) PutU64(&out, count);
   for (const auto& row : state.other_counts) {
-    AppendU32(&out, static_cast<uint32_t>(row.size()));
+    PutU32(&out, static_cast<uint32_t>(row.size()));
     for (const auto& [feature, count] : row) {
-      AppendU32(&out, feature);
-      AppendU64(&out, count);
+      PutU32(&out, feature);
+      PutU64(&out, count);
     }
   }
-  AppendU32(&out, static_cast<uint32_t>(state.window_history.size()));
+  PutU32(&out, static_cast<uint32_t>(state.window_history.size()));
   for (const std::vector<Letter>& segment : state.window_history) {
-    AppendU32(&out, static_cast<uint32_t>(segment.size()));
+    PutU32(&out, static_cast<uint32_t>(segment.size()));
     for (const Letter& letter : segment) {
-      AppendU32(&out, letter.position);
-      AppendU32(&out, letter.feature);
+      PutU32(&out, letter.position);
+      PutU32(&out, letter.feature);
     }
   }
-  AppendU32(&out, state.segment_position);
-  AppendU32(&out, static_cast<uint32_t>(state.segment_mask.size()));
-  for (const uint32_t index : state.segment_mask) AppendU32(&out, index);
-  AppendU32(&out, static_cast<uint32_t>(state.pending_other.size()));
+  PutU32(&out, state.segment_position);
+  PutU32(&out, static_cast<uint32_t>(state.segment_mask.size()));
+  for (const uint32_t index : state.segment_mask) PutU32(&out, index);
+  PutU32(&out, static_cast<uint32_t>(state.pending_other.size()));
   for (const Letter& letter : state.pending_other) {
-    AppendU32(&out, letter.position);
-    AppendU32(&out, letter.feature);
+    PutU32(&out, letter.position);
+    PutU32(&out, letter.feature);
   }
   // v2: the retained window masks, oldest first, right before the hits so
   // a decoder can cross-check both against each other.
-  AppendU32(&out, static_cast<uint32_t>(data.state.window_masks.size()));
+  PutU32(&out, static_cast<uint32_t>(data.state.window_masks.size()));
   for (const std::vector<uint32_t>& mask : data.state.window_masks) {
-    AppendU32(&out, static_cast<uint32_t>(mask.size()));
-    for (const uint32_t index : mask) AppendU32(&out, index);
+    PutU32(&out, static_cast<uint32_t>(mask.size()));
+    for (const uint32_t index : mask) PutU32(&out, index);
   }
-  AppendU64(&out, static_cast<uint64_t>(state.hits.size()));
+  PutU64(&out, static_cast<uint64_t>(state.hits.size()));
   for (const auto& [mask_bits, count] : state.hits) {
-    AppendU32(&out, static_cast<uint32_t>(mask_bits.size()));
-    for (const uint32_t index : mask_bits) AppendU32(&out, index);
-    AppendU64(&out, count);
+    PutU32(&out, static_cast<uint32_t>(mask_bits.size()));
+    for (const uint32_t index : mask_bits) PutU32(&out, index);
+    PutU64(&out, count);
   }
   return out;
 }
 
-Result<CheckpointData> DecodeState(const std::string& block) {
+Result<CheckpointData> DecodeState(std::string_view block) {
   const auto corrupt = [](const std::string& what) {
     return Status::Corruption("checkpoint: " + what);
   };
-  Cursor cursor(block.data(), block.size());
+  bytes::ByteReader cursor(block);
   CheckpointData data;
   uint32_t version = 0;
   if (!cursor.ReadU32(&version)) return corrupt("truncated version");
@@ -161,14 +97,12 @@ Result<CheckpointData> DecodeState(const std::string& block) {
   if (version != 1 && version != kCheckpointVersion) {
     return corrupt("unsupported version " + std::to_string(version));
   }
-  uint64_t conf_bits = 0;
   uint32_t hit_store = 0;
-  if (!cursor.ReadU32(&data.period) || !cursor.ReadU64(&conf_bits) ||
+  if (!cursor.ReadU32(&data.period) || !cursor.ReadF64(&data.min_confidence) ||
       !cursor.ReadU64(&data.min_count) || !cursor.ReadU32(&data.max_letters) ||
       !cursor.ReadU32(&hit_store)) {
     return corrupt("truncated configuration");
   }
-  std::memcpy(&data.min_confidence, &conf_bits, sizeof(data.min_confidence));
   if (!std::isfinite(data.min_confidence)) {
     return corrupt("non-finite confidence threshold");
   }
@@ -192,13 +126,11 @@ Result<CheckpointData> DecodeState(const std::string& block) {
   if (num_symbols > kMaxSymbols) return corrupt("implausible symbol count");
   data.symbols.reserve(std::min<size_t>(num_symbols, cursor.remaining() / 4));
   for (uint32_t i = 0; i < num_symbols; ++i) {
-    uint32_t name_len = 0;
-    if (!cursor.ReadU32(&name_len)) return corrupt("truncated symbol length");
-    if (name_len > kMaxSymbolNameBytes) {
-      return corrupt("implausible symbol length");
-    }
     std::string name;
-    if (!cursor.ReadBytes(&name, name_len)) return corrupt("truncated symbol");
+    if (!cursor.ReadString(&name, kMaxSymbolNameBytes)) {
+      return corrupt(cursor.short_read() ? "truncated symbol"
+                                         : "implausible symbol length");
+    }
     data.symbols.push_back(std::move(name));
   }
 
@@ -346,35 +278,9 @@ Status SyncPath(const std::string& path) {
   return fsutil::FsyncPath(path);
 }
 
-Result<std::string> ReadCheckpointBytes(const std::string& path) {
-  tsdb::FaultInjector& injector = tsdb::FaultInjector::Global();
-  if (injector.ConsumeTransientReadFailure()) {
-    return Status::IoError("injected transient read failure: " + path);
-  }
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    std::error_code ec;
-    if (!fs::exists(path, ec)) {
-      return Status::NotFound("no checkpoint at " + path);
-    }
-    return Status::IoError("cannot open checkpoint: " + path);
-  }
-  std::unique_ptr<std::streambuf> wrapped = injector.MaybeWrap(in.rdbuf());
-  std::istream stream(wrapped != nullptr ? wrapped.get() : in.rdbuf());
-  std::ostringstream buffer;
-  buffer << stream.rdbuf();
-  if (in.bad()) return Status::IoError("checkpoint read failed: " + path);
-  return buffer.str();
-}
-
 Status WriteCheckpointData(const CheckpointData& data, const std::string& dir) {
-  const std::string block = EncodeState(data);
-  std::string bytes;
-  bytes.reserve(sizeof(kCheckpointMagic) + 12 + block.size());
-  bytes.append(kCheckpointMagic, sizeof(kCheckpointMagic));
-  AppendU64(&bytes, block.size());
-  AppendU32(&bytes, crc32c::Value(block));
-  bytes += block;
+  const std::string bytes =
+      frame::EncodeFile(kCheckpointMagic, EncodeState(data));
 
   obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
   const Status written =
@@ -466,29 +372,11 @@ Status WriteCheckpoint(const StreamingMiner& miner,
 }
 
 Result<CheckpointData> ReadCheckpoint(const std::string& path) {
-  Result<std::string> read = ReadCheckpointBytes(path);
-  if (!read.ok()) return read.status();
-  const std::string& bytes = *read;
-  if (bytes.size() < sizeof(kCheckpointMagic) + 12) {
-    return Status::Corruption("checkpoint too short: " + path);
-  }
-  if (bytes.compare(0, sizeof(kCheckpointMagic), kCheckpointMagic,
-                    sizeof(kCheckpointMagic)) != 0) {
-    return Status::Corruption("bad checkpoint magic: " + path);
-  }
-  Cursor header(bytes.data() + sizeof(kCheckpointMagic), 12);
-  uint64_t block_len = 0;
-  uint32_t block_crc = 0;
-  header.ReadU64(&block_len);
-  header.ReadU32(&block_crc);
-  const size_t block_offset = sizeof(kCheckpointMagic) + 12;
-  if (bytes.size() - block_offset != block_len) {
-    return Status::Corruption("checkpoint length mismatch: " + path);
-  }
-  if (crc32c::Value(bytes.data() + block_offset, block_len) != block_crc) {
-    return Status::Corruption("checkpoint checksum mismatch: " + path);
-  }
-  return DecodeState(bytes.substr(block_offset));
+  PPM_ASSIGN_OR_RETURN(const std::string file, tsdb::ReadFileWithFaults(path));
+  PPM_ASSIGN_OR_RETURN(const std::string_view block,
+                       frame::DecodeFile(file, kCheckpointMagic,
+                                         "checkpoint " + path));
+  return DecodeState(block);
 }
 
 Result<std::unique_ptr<ContinuousMiner>> RestoreContinuousMiner(

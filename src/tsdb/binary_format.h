@@ -2,21 +2,28 @@
 #define PPM_TSDB_BINARY_FORMAT_H_
 
 #include <cstdint>
-#include <istream>
-#include <ostream>
-#include <string>
-#include <string_view>
 
 namespace ppm::tsdb::internal {
 
-/// On-disk binary series layout (little-endian):
+/// On-disk binary series layouts (docs/FILE_FORMATS.md). Every version
+/// starts with an 8-byte magic and the series header of `instant_codec.h`
+/// (u32 symbol count, names as strings, u64 instant count).
 ///
-///   magic            8 bytes  "PPMTS1\n\0"
-///   num_symbols      u32
-///   num_symbols x    { name_len u32, name bytes }
-///   num_instants     u64
-///   num_instants x   { num_features u32, feature ids u32 each }
+/// Version 1: the header, then every instant fixed-width
+/// (`InstantEncoding::kFixed32`).
 inline constexpr char kMagic[8] = {'P', 'P', 'M', 'T', 'S', '1', '\n', '\0'};
+
+/// Version 2: the header, then every instant delta+varint compressed
+/// (`InstantEncoding::kVarintDelta`), typically 3-4x smaller than v1.
+inline constexpr char kMagicV2[8] = {'P', 'P', 'M', 'T', 'S', '2', '\n', '\0'};
+
+/// Version 3: v2 wrapped in two checksummed blocks (`util/frame.h`), so
+/// truncation and bit rot are always detected before decoding:
+///
+///   magic            8 bytes  "PPMTS3\n\0"
+///   header block     u32 length: the series header
+///   payload block    u64 length: num_instants v2-encoded instants
+inline constexpr char kMagicV3[8] = {'P', 'P', 'M', 'T', 'S', '3', '\n', '\0'};
 
 /// Upper bound on a single symbol name's encoded length; readers reject
 /// larger values as corruption before allocating.
@@ -25,90 +32,6 @@ inline constexpr uint32_t kMaxSymbolNameBytes = 1 << 20;
 /// Upper bound on a v3 block's declared length; readers reject larger
 /// values as corruption before allocating the block buffer.
 inline constexpr uint64_t kMaxBlockBytes = uint64_t{1} << 31;
-
-/// Version 2 layout: identical header (magic aside), but instant data is
-/// compressed -- per instant a varint feature count followed by the sorted
-/// feature ids delta-encoded as varints (first id absolute, then gaps).
-/// Typically 3-4x smaller than v1 for realistic series.
-inline constexpr char kMagicV2[8] = {'P', 'P', 'M', 'T', 'S', '2', '\n', '\0'};
-
-/// Version 3 layout: v2's compressed payload wrapped in CRC32C-checksummed
-/// blocks so truncation and bit rot are always detected before decoding
-/// (docs/FILE_FORMATS.md, docs/ROBUSTNESS.md):
-///
-///   magic            8 bytes  "PPMTS3\n\0"
-///   header_len       u32      bytes in the header block
-///   header_crc       u32      CRC32C of the header block
-///   header block:    num_symbols u32, num_symbols x { name_len u32, name },
-///                    num_instants u64
-///   payload_len      u64      bytes in the payload block
-///   payload_crc      u32      CRC32C of the payload block
-///   payload block:   num_instants x v2-encoded instants
-///
-/// Readers verify each block's CRC before parsing a single field of it.
-inline constexpr char kMagicV3[8] = {'P', 'P', 'M', 'T', 'S', '3', '\n', '\0'};
-
-/// LEB128 unsigned varint. Returns the number of bytes written (1..5 for
-/// 32-bit values).
-inline int WriteVarint32(std::ostream& os, uint32_t value) {
-  int bytes = 0;
-  while (value >= 0x80) {
-    os.put(static_cast<char>((value & 0x7f) | 0x80));
-    value >>= 7;
-    ++bytes;
-  }
-  os.put(static_cast<char>(value));
-  return bytes + 1;
-}
-
-/// Reads a LEB128 varint; fails on EOF or an overlong (> 5 byte) encoding.
-/// `*bytes_read` (optional) receives the encoded length.
-inline bool ReadVarint32(std::istream& is, uint32_t* value,
-                         int* bytes_read = nullptr) {
-  uint32_t result = 0;
-  int shift = 0;
-  int bytes = 0;
-  while (true) {
-    const int c = is.get();
-    if (c == std::char_traits<char>::eof()) return false;
-    ++bytes;
-    result |= static_cast<uint32_t>(c & 0x7f) << shift;
-    if ((c & 0x80) == 0) break;
-    shift += 7;
-    if (shift >= 35) return false;  // Overlong encoding.
-  }
-  *value = result;
-  if (bytes_read != nullptr) *bytes_read = bytes;
-  return true;
-}
-
-inline void WriteU32(std::ostream& os, uint32_t value) {
-  char bytes[4];
-  for (int i = 0; i < 4; ++i) bytes[i] = static_cast<char>((value >> (8 * i)) & 0xff);
-  os.write(bytes, 4);
-}
-
-inline void WriteU64(std::ostream& os, uint64_t value) {
-  char bytes[8];
-  for (int i = 0; i < 8; ++i) bytes[i] = static_cast<char>((value >> (8 * i)) & 0xff);
-  os.write(bytes, 8);
-}
-
-inline bool ReadU32(std::istream& is, uint32_t* value) {
-  unsigned char bytes[4];
-  if (!is.read(reinterpret_cast<char*>(bytes), 4)) return false;
-  *value = 0;
-  for (int i = 0; i < 4; ++i) *value |= static_cast<uint32_t>(bytes[i]) << (8 * i);
-  return true;
-}
-
-inline bool ReadU64(std::istream& is, uint64_t* value) {
-  unsigned char bytes[8];
-  if (!is.read(reinterpret_cast<char*>(bytes), 8)) return false;
-  *value = 0;
-  for (int i = 0; i < 8; ++i) *value |= static_cast<uint64_t>(bytes[i]) << (8 * i);
-  return true;
-}
 
 }  // namespace ppm::tsdb::internal
 

@@ -1,5 +1,8 @@
 #include "tsdb/fault_injection.h"
 
+#include <filesystem>
+#include <fstream>
+
 #include "obs/metrics.h"
 
 namespace ppm::tsdb {
@@ -90,6 +93,37 @@ bool FaultInjector::FsyncShouldFail() {
   if (!plan_.fail_fsync) return false;
   RecordInjectedFault();
   return true;
+}
+
+Result<std::string> ReadFileWithFaults(const std::string& path) {
+  FaultInjector& injector = FaultInjector::Global();
+  if (injector.ConsumeTransientReadFailure()) {
+    return Status::IoError("injected transient read failure: " + path);
+  }
+  std::ifstream in(path, std::ios::binary);
+  std::error_code ec;
+  if (!in) {
+    if (!std::filesystem::exists(path, ec)) {
+      return Status::NotFound("no such file: " + path);
+    }
+    return Status::IoError("cannot open for read: " + path);
+  }
+  const std::unique_ptr<std::streambuf> wrapped =
+      injector.MaybeWrap(in.rdbuf());
+  std::streambuf* source = wrapped != nullptr ? wrapped.get() : in.rdbuf();
+  // Sized to the file plus one byte, so one read normally drains it and the
+  // short second read proves the end; a file that grew meanwhile doubles.
+  const uintmax_t size = std::filesystem::file_size(path, ec);
+  std::string contents(ec ? 4096 : static_cast<size_t>(size) + 1, '\0');
+  size_t used = 0;
+  while (true) {
+    const auto want = static_cast<std::streamsize>(contents.size() - used);
+    used += static_cast<size_t>(source->sgetn(contents.data() + used, want));
+    if (used < contents.size()) break;
+    contents.resize(contents.size() * 2);
+  }
+  contents.resize(used);
+  return contents;
 }
 
 FaultInjectingStreamBuf::FaultInjectingStreamBuf(std::streambuf* inner,

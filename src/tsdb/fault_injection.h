@@ -6,6 +6,9 @@
 #include <memory>
 #include <mutex>
 #include <streambuf>
+#include <string>
+
+#include "util/status.h"
 
 namespace ppm::tsdb {
 
@@ -75,6 +78,12 @@ class FaultInjector {
   std::atomic<uint32_t> transient_remaining_{0};
   std::atomic<uint32_t> wal_crash_countdown_{0};
 };
+
+/// Reads the whole file at `path` through the global injector, the one file
+/// read of every storage reader (`.ppmts`, WAL, checkpoints). A pending
+/// transient failure and an unopenable file are `kIoError`, a missing file
+/// is `kNotFound`; armed bit flips and short reads shape the bytes returned.
+Result<std::string> ReadFileWithFaults(const std::string& path);
 
 /// RAII arm/disarm of the global injector for one test scope.
 class ScopedFaultInjection {

@@ -2,161 +2,57 @@
 
 #include <cctype>
 #include <fstream>
-#include <sstream>
 #include <string_view>
 
 #include "tsdb/binary_format.h"
 #include "tsdb/fault_injection.h"
-#include "util/crc32c.h"
+#include "tsdb/instant_codec.h"
+#include "util/frame.h"
 #include "util/string_util.h"
 
 namespace ppm::tsdb {
 
 namespace {
-using internal::kMagic;
-using internal::kMagicV2;
-using internal::kMagicV3;
-using internal::ReadU32;
-using internal::ReadU64;
-using internal::ReadVarint32;
-using internal::WriteU32;
-using internal::WriteU64;
-using internal::WriteVarint32;
 
-/// Serialized symbol table + instant count (every version's header fields).
-std::string EncodeHeaderBlock(const TimeSeries& series) {
-  std::ostringstream header;
-  const SymbolTable& symbols = series.symbols();
-  WriteU32(header, symbols.size());
-  for (const std::string& name : symbols.names()) {
-    WriteU32(header, static_cast<uint32_t>(name.size()));
-    header.write(name.data(), static_cast<std::streamsize>(name.size()));
-  }
-  WriteU64(header, series.length());
-  return std::move(header).str();
-}
+using frame::LenWidth;
 
-/// v2-encoded instant data (varint counts, delta+varint ids).
-void EncodeInstantsV2(const TimeSeries& series, std::ostream& out) {
-  for (const FeatureSet& instant : series.instants()) {
-    WriteVarint32(out, instant.Count());
-    // ForEach iterates ascending, so delta encoding needs no sort.
-    uint32_t previous = 0;
-    bool first = true;
-    instant.ForEach([&out, &previous, &first](uint32_t id) {
-      WriteVarint32(out, first ? id : id - previous);
-      previous = id;
-      first = false;
-    });
-  }
-}
-
-/// Parses the header-block fields (symbol table, instant count) from `in`
-/// into `*series` / `*num_instants`.
-Status ParseHeaderFields(std::istream& in, TimeSeries* series,
-                         uint64_t* num_instants) {
-  uint32_t num_symbols = 0;
-  if (!ReadU32(in, &num_symbols)) return Status::Corruption("truncated header");
-  for (uint32_t i = 0; i < num_symbols; ++i) {
-    uint32_t len = 0;
-    if (!ReadU32(in, &len)) return Status::Corruption("truncated symbol table");
-    // Cap before allocating: a corrupt length must not trigger a
-    // multi-gigabyte allocation.
-    if (len > internal::kMaxSymbolNameBytes) {
-      return Status::Corruption("implausible symbol name length");
-    }
-    std::string name(len, '\0');
-    if (!in.read(name.data(), len)) {
-      return Status::Corruption("truncated symbol name");
-    }
-    const FeatureId id = series->symbols().Intern(name);
-    if (id != i) return Status::Corruption("duplicate symbol: " + name);
-  }
-  if (!ReadU64(in, num_instants)) return Status::Corruption("truncated length");
-  return Status::OK();
-}
-
-/// Parses `num_instants` instants from `in` (fixed-width v1 or varint
-/// v2/v3 encoding) and appends them to `*series`.
-Status ParseInstants(std::istream& in, bool v1, uint64_t num_instants,
-                     TimeSeries* series) {
-  const uint32_t num_symbols = series->symbols().size();
-  for (uint64_t t = 0; t < num_instants; ++t) {
-    uint32_t count = 0;
-    if (v1 ? !ReadU32(in, &count) : !ReadVarint32(in, &count)) {
-      return Status::Corruption("truncated instant");
-    }
-    // Distinct ids per instant cannot exceed the symbol table; fail fast on
-    // corrupt counts instead of looping through bogus reads.
-    if (count > num_symbols) {
-      return Status::Corruption("instant feature count " +
-                                std::to_string(count) +
-                                " exceeds symbol table");
-    }
-    FeatureSet features;
-    uint32_t previous = 0;
-    for (uint32_t i = 0; i < count; ++i) {
-      uint32_t value = 0;
-      if (v1 ? !ReadU32(in, &value) : !ReadVarint32(in, &value)) {
-        return Status::Corruption("truncated feature id");
-      }
-      const uint32_t id = v1 || i == 0 ? value : previous + value;
-      if (id >= num_symbols) {
-        return Status::Corruption("feature id out of range: " +
-                                  std::to_string(id));
-      }
-      features.Set(id);
-      previous = id;
-    }
-    series->Append(std::move(features));
-  }
-  return Status::OK();
-}
-
-/// Reads a v3 file's checksummed blocks from `in` (positioned just past the
-/// magic). Each block's CRC is verified before any of its fields are parsed.
-Result<TimeSeries> ParseV3(std::istream& in, const std::string& path) {
-  uint32_t header_len = 0;
-  uint32_t header_crc = 0;
-  if (!ReadU32(in, &header_len) || !ReadU32(in, &header_crc)) {
-    return Status::Corruption("truncated v3 framing in " + path);
-  }
-  if (header_len > internal::kMaxBlockBytes) {
-    return Status::Corruption("implausible v3 header length in " + path);
-  }
-  std::string header(header_len, '\0');
-  if (!in.read(header.data(), header_len)) {
-    return Status::Corruption("truncated v3 header block in " + path);
-  }
-  if (crc32c::Value(header.data(), header.size()) != header_crc) {
-    return Status::Corruption("v3 header checksum mismatch in " + path);
-  }
-
+/// Decodes a whole `.ppmts` file of any version. v3 blocks are verified
+/// before a field of them is parsed.
+Result<TimeSeries> DecodeSeries(std::string_view file) {
+  constexpr size_t kMagicBytes = sizeof(internal::kMagic);
+  const std::string_view magic = file.substr(0, kMagicBytes);
+  bytes::ByteReader in(file.substr(magic.size()));
   TimeSeries series;
   uint64_t num_instants = 0;
-  std::istringstream header_in(header);
-  PPM_RETURN_IF_ERROR(ParseHeaderFields(header_in, &series, &num_instants));
-
-  uint64_t payload_len = 0;
-  uint32_t payload_crc = 0;
-  if (!ReadU64(in, &payload_len) || !ReadU32(in, &payload_crc)) {
-    return Status::Corruption("truncated v3 framing in " + path);
+  if (magic == std::string_view(internal::kMagicV3, kMagicBytes)) {
+    std::string_view header;
+    std::string_view payload;
+    PPM_RETURN_IF_ERROR(frame::BlockStatus(
+        frame::ReadBlock(&in, LenWidth::kU32, internal::kMaxBlockBytes,
+                         &header),
+        "v3 header"));
+    bytes::ByteReader header_in(header);
+    PPM_RETURN_IF_ERROR(
+        ReadSeriesHeader(&header_in, &series.symbols(), &num_instants));
+    PPM_RETURN_IF_ERROR(frame::BlockStatus(
+        frame::ReadBlock(&in, LenWidth::kU64, internal::kMaxBlockBytes,
+                         &payload),
+        "v3 payload"));
+    bytes::ByteReader payload_in(payload);
+    PPM_RETURN_IF_ERROR(ReadInstants(&payload_in, InstantEncoding::kVarintDelta,
+                                     num_instants, &series));
+    return series;
   }
-  if (payload_len > internal::kMaxBlockBytes) {
-    return Status::Corruption("implausible v3 payload length in " + path);
+  InstantEncoding encoding;
+  if (magic == std::string_view(internal::kMagic, kMagicBytes)) {
+    encoding = InstantEncoding::kFixed32;
+  } else if (magic == std::string_view(internal::kMagicV2, kMagicBytes)) {
+    encoding = InstantEncoding::kVarintDelta;
+  } else {
+    return Status::Corruption("bad magic");
   }
-  std::string payload(payload_len, '\0');
-  if (!in.read(payload.data(),
-               static_cast<std::streamsize>(payload_len))) {
-    return Status::Corruption("truncated v3 payload block in " + path);
-  }
-  if (crc32c::Value(payload.data(), payload.size()) != payload_crc) {
-    return Status::Corruption("v3 payload checksum mismatch in " + path);
-  }
-
-  std::istringstream payload_in(payload);
-  PPM_RETURN_IF_ERROR(
-      ParseInstants(payload_in, /*v1=*/false, num_instants, &series));
+  PPM_RETURN_IF_ERROR(ReadSeriesHeader(&in, &series.symbols(), &num_instants));
+  PPM_RETURN_IF_ERROR(ReadInstants(&in, encoding, num_instants, &series));
   return series;
 }
 
@@ -164,76 +60,46 @@ Result<TimeSeries> ParseV3(std::istream& in, const std::string& path) {
 
 Status WriteBinarySeries(const TimeSeries& series, const std::string& path,
                          BinaryFormatVersion version) {
+  std::string file;
+  if (version == BinaryFormatVersion::kV3) {
+    // Each block's body is encoded in place and its length and CRC filled
+    // in after; the lengths double as truncation checks on read.
+    file.assign(internal::kMagicV3, sizeof(internal::kMagicV3));
+    const size_t header_at = frame::BeginBlock(&file, LenWidth::kU32);
+    PutSeriesHeader(&file, series.symbols(), series.length());
+    frame::EndBlock(&file, header_at, LenWidth::kU32);
+    const size_t payload_at = frame::BeginBlock(&file, LenWidth::kU64);
+    PutInstants(&file, series, InstantEncoding::kVarintDelta);
+    frame::EndBlock(&file, payload_at, LenWidth::kU64);
+  } else {
+    const bool v1 = version == BinaryFormatVersion::kV1;
+    file.assign(v1 ? internal::kMagic : internal::kMagicV2,
+                 sizeof(internal::kMagic));
+    PutSeriesHeader(&file, series.symbols(), series.length());
+    PutInstants(&file, series,
+                v1 ? InstantEncoding::kFixed32 : InstantEncoding::kVarintDelta);
+  }
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   if (!out) return Status::IoError("cannot open for write: " + path);
-
-  if (version == BinaryFormatVersion::kV3) {
-    // Blocks are buffered so their CRCs are known before anything hits the
-    // file; the framing lengths double as truncation checks on read.
-    const std::string header = EncodeHeaderBlock(series);
-    std::ostringstream payload_stream;
-    EncodeInstantsV2(series, payload_stream);
-    const std::string payload = std::move(payload_stream).str();
-
-    out.write(kMagicV3, sizeof(kMagicV3));
-    WriteU32(out, static_cast<uint32_t>(header.size()));
-    WriteU32(out, crc32c::Value(header.data(), header.size()));
-    out.write(header.data(), static_cast<std::streamsize>(header.size()));
-    WriteU64(out, payload.size());
-    WriteU32(out, crc32c::Value(payload.data(), payload.size()));
-    out.write(payload.data(), static_cast<std::streamsize>(payload.size()));
-  } else {
-    out.write(version == BinaryFormatVersion::kV1 ? kMagic : kMagicV2,
-              sizeof(kMagic));
-    const std::string header = EncodeHeaderBlock(series);
-    out.write(header.data(), static_cast<std::streamsize>(header.size()));
-    if (version == BinaryFormatVersion::kV1) {
-      for (const FeatureSet& instant : series.instants()) {
-        WriteU32(out, instant.Count());
-        instant.ForEach([&out](uint32_t id) { WriteU32(out, id); });
-      }
-    } else {
-      EncodeInstantsV2(series, out);
-    }
-  }
+  out.write(file.data(), static_cast<std::streamsize>(file.size()));
   out.flush();
   if (!out) return Status::IoError("write failed: " + path);
   return Status::OK();
 }
 
 Result<TimeSeries> ReadBinarySeries(const std::string& path) {
-  if (FaultInjector::Global().ConsumeTransientReadFailure()) {
-    return Status::IoError("injected transient read failure: " + path);
+  Result<std::string> file = ReadFileWithFaults(path);
+  if (!file.ok()) {
+    // A missing series is an I/O failure to this reader's callers.
+    if (file.status().code() == StatusCode::kNotFound) {
+      return Status::IoError("cannot open for read: " + path);
+    }
+    return file.status();
   }
-  std::ifstream file(path, std::ios::binary);
-  if (!file) return Status::IoError("cannot open for read: " + path);
-  // Test seam: when armed, reads go through a deterministic fault-injecting
-  // buffer (bit flips, short reads); disarmed this is a single atomic load.
-  const std::unique_ptr<std::streambuf> fault_buf =
-      FaultInjector::Global().MaybeWrap(file.rdbuf());
-  std::istream in(fault_buf != nullptr ? fault_buf.get() : file.rdbuf());
-
-  char magic[sizeof(kMagic)];
-  if (!in.read(magic, sizeof(magic))) {
-    return Status::Corruption("bad magic in " + path);
+  Result<TimeSeries> series = DecodeSeries(*file);
+  if (!series.ok()) {
+    return Status::Corruption(series.status().message() + " in " + path);
   }
-  const std::string_view magic_view(magic, sizeof(magic));
-  BinaryFormatVersion version;
-  if (magic_view == std::string_view(kMagic, sizeof(kMagic))) {
-    version = BinaryFormatVersion::kV1;
-  } else if (magic_view == std::string_view(kMagicV2, sizeof(kMagicV2))) {
-    version = BinaryFormatVersion::kV2;
-  } else if (magic_view == std::string_view(kMagicV3, sizeof(kMagicV3))) {
-    return ParseV3(in, path);
-  } else {
-    return Status::Corruption("bad magic in " + path);
-  }
-
-  TimeSeries series;
-  uint64_t num_instants = 0;
-  PPM_RETURN_IF_ERROR(ParseHeaderFields(in, &series, &num_instants));
-  PPM_RETURN_IF_ERROR(ParseInstants(
-      in, version == BinaryFormatVersion::kV1, num_instants, &series));
   return series;
 }
 

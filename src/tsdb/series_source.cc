@@ -1,50 +1,20 @@
 #include "tsdb/series_source.h"
 
-#include <sstream>
+#include <algorithm>
+#include <cstring>
 #include <utility>
 
 #include "tsdb/binary_format.h"
 #include "tsdb/fault_injection.h"
 #include "util/check.h"
 #include "util/crc32c.h"
+#include "util/frame.h"
 
 namespace ppm::tsdb {
 
 namespace {
-using internal::kMagic;
-using internal::kMaxSymbolNameBytes;
-using internal::ReadU32;
-using internal::ReadU64;
-
-/// Reads the symbol table + instant count fields from `in` (the layout
-/// shared by every version) into `*symbols` / `*num_instants`.
-Status ReadHeaderFields(std::istream& in, const std::string& path,
-                        SymbolTable* symbols, uint64_t* num_instants) {
-  uint32_t num_symbols = 0;
-  if (!ReadU32(in, &num_symbols)) {
-    return Status::Corruption("truncated header in " + path);
-  }
-  for (uint32_t i = 0; i < num_symbols; ++i) {
-    uint32_t len = 0;
-    if (!ReadU32(in, &len)) {
-      return Status::Corruption("truncated symbol table in " + path);
-    }
-    // Cap before allocating: a corrupt length must not trigger a
-    // multi-gigabyte allocation.
-    if (len > kMaxSymbolNameBytes) {
-      return Status::Corruption("implausible symbol name length in " + path);
-    }
-    std::string name(len, '\0');
-    if (!in.read(name.data(), len)) {
-      return Status::Corruption("truncated symbol name in " + path);
-    }
-    symbols->Intern(name);
-  }
-  if (!ReadU64(in, num_instants)) {
-    return Status::Corruption("truncated length in " + path);
-  }
-  return Status::OK();
-}
+constexpr size_t kBufferBytes = 64 * 1024;
+constexpr uint64_t kNoEnd = UINT64_MAX;
 }  // namespace
 
 SeriesSource::SeriesSource()
@@ -93,96 +63,136 @@ Result<std::unique_ptr<FileSeriesSource>> FileSeriesSource::Open(
   source->stream_.rdbuf(source->fault_buf_ != nullptr
                             ? source->fault_buf_.get()
                             : source->file_.rdbuf());
-  std::istream& in = source->stream_;
+  const auto corrupt = [&path](const Status& status) {
+    return Status::Corruption(status.message() + " in " + path);
+  };
+  PPM_RETURN_IF_ERROR(source->Seek(0, kNoEnd));
 
-  char magic[sizeof(kMagic)];
-  if (!in.read(magic, sizeof(magic))) {
-    return Status::Corruption("bad magic in " + path);
-  }
-  const std::string_view magic_view(magic, sizeof(magic));
-  bool checksummed = false;
-  if (magic_view == std::string_view(kMagic, sizeof(kMagic))) {
-    source->fixed_width_ = true;
-  } else if (magic_view ==
-             std::string_view(internal::kMagicV2, sizeof(internal::kMagicV2))) {
-    source->fixed_width_ = false;
-  } else if (magic_view ==
-             std::string_view(internal::kMagicV3, sizeof(internal::kMagicV3))) {
-    source->fixed_width_ = false;
-    checksummed = true;
-  } else {
-    return Status::Corruption("bad magic in " + path);
-  }
-
-  if (checksummed) {
-    // v3: verify the header block's CRC before parsing any of its fields.
-    uint32_t header_len = 0;
-    uint32_t header_crc = 0;
-    if (!ReadU32(in, &header_len) || !ReadU32(in, &header_crc)) {
-      return Status::Corruption("truncated v3 framing in " + path);
+  int version = 0;
+  Status status = source->DecodeBuffered([&version](bytes::ByteReader* in) {
+    std::string_view magic;
+    if (in->ReadBytes(sizeof(internal::kMagic), &magic)) {
+      const auto is = [magic](const char* expected) {
+        return magic == std::string_view(expected, sizeof(internal::kMagic));
+      };
+      version = is(internal::kMagic)     ? 1
+                : is(internal::kMagicV2) ? 2
+                : is(internal::kMagicV3) ? 3
+                                         : 0;
     }
-    if (header_len > internal::kMaxBlockBytes) {
-      return Status::Corruption("implausible v3 header length in " + path);
-    }
-    std::string header(header_len, '\0');
-    if (!in.read(header.data(), header_len)) {
-      return Status::Corruption("truncated v3 header block in " + path);
-    }
-    if (crc32c::Value(header.data(), header.size()) != header_crc) {
-      return Status::Corruption("v3 header checksum mismatch in " + path);
-    }
-    std::istringstream header_in(header);
-    PPM_RETURN_IF_ERROR(ReadHeaderFields(header_in, path, &source->symbols_,
-                                         &source->num_instants_));
-
-    uint64_t payload_len = 0;
-    uint32_t payload_crc = 0;
-    if (!ReadU64(in, &payload_len) || !ReadU32(in, &payload_crc)) {
-      return Status::Corruption("truncated v3 framing in " + path);
-    }
-    if (payload_len > internal::kMaxBlockBytes) {
-      return Status::Corruption("implausible v3 payload length in " + path);
-    }
-    source->data_offset_ = in.tellg();
-
-    // One integrity pass over the payload now, so every later scan can
-    // stream the verified bytes without recomputing the checksum.
-    uint32_t crc = 0;
-    char chunk[4096];
-    uint64_t remaining = payload_len;
-    while (remaining > 0) {
-      const std::streamsize want = static_cast<std::streamsize>(
-          remaining < sizeof(chunk) ? remaining : sizeof(chunk));
-      if (!in.read(chunk, want)) {
-        return Status::Corruption("truncated v3 payload block in " + path);
-      }
-      crc = crc32c::Extend(crc, chunk, static_cast<size_t>(want));
-      remaining -= static_cast<uint64_t>(want);
-    }
-    if (crc != payload_crc) {
-      return Status::Corruption("v3 payload checksum mismatch in " + path);
-    }
-    in.clear();
-    in.seekg(source->data_offset_);
-    if (!in) return Status::IoError("seek failed: " + path);
+    return version != 0 ? Status::OK() : Status::Corruption("bad magic");
+  });
+  if (!status.ok()) return corrupt(status);
+  source->encoding_ = version == 1 ? InstantEncoding::kFixed32
+                                   : InstantEncoding::kVarintDelta;
+  uint64_t used = 0;
+  // The series header, straight after the magic (v1/v2) or as the body of
+  // v3's first block, whose CRC is verified before any field is parsed.
+  const auto read_header = [&source](bytes::ByteReader* in) {
+    SymbolTable symbols;
+    PPM_RETURN_IF_ERROR(ReadSeriesHeader(in, &symbols, &source->num_instants_));
+    source->symbols_ = std::move(symbols);
+    return Status::OK();
+  };
+  if (version != 3) {
+    status = source->DecodeBuffered(read_header, &used);
+    if (!status.ok()) return corrupt(status);
+    source->data_offset_ = sizeof(internal::kMagic) + used;
+    source->data_end_ = kNoEnd;
     return source;
   }
 
-  PPM_RETURN_IF_ERROR(ReadHeaderFields(in, path, &source->symbols_,
-                                       &source->num_instants_));
-  source->data_offset_ = in.tellg();
+  frame::BlockHeader payload;
+  status = source->DecodeBuffered(
+      [&read_header, &payload](bytes::ByteReader* in) {
+        std::string_view header;
+        PPM_RETURN_IF_ERROR(frame::BlockStatus(
+            frame::ReadBlock(in, frame::LenWidth::kU32,
+                             internal::kMaxBlockBytes, &header),
+            "v3 header"));
+        bytes::ByteReader header_in(header);
+        PPM_RETURN_IF_ERROR(read_header(&header_in));
+        return frame::BlockStatus(
+            frame::ReadHeader(in, frame::LenWidth::kU64,
+                              internal::kMaxBlockBytes, &payload),
+            "v3 payload");
+      },
+      &used);
+  if (!status.ok()) return corrupt(status);
+  source->data_offset_ = sizeof(internal::kMagic) + used;
+  source->data_end_ = source->data_offset_ + payload.len;
+
+  // One integrity pass over the payload now, so every later scan can
+  // stream the verified bytes without recomputing the checksum.
+  PPM_RETURN_IF_ERROR(source->Seek(source->data_offset_, source->data_end_));
+  uint32_t crc = 0;
+  char chunk[4096];
+  for (uint64_t left = payload.len; left > 0;) {
+    const auto want =
+        static_cast<size_t>(std::min<uint64_t>(left, sizeof(chunk)));
+    if (!source->stream_.read(chunk, static_cast<std::streamsize>(want))) {
+      return corrupt(frame::BlockStatus(frame::BlockError::kTruncated,
+                                        "v3 payload"));
+    }
+    crc = crc32c::Extend(crc, chunk, want);
+    left -= want;
+  }
+  if (crc != payload.crc) {
+    return corrupt(
+        frame::BlockStatus(frame::BlockError::kChecksum, "v3 payload"));
+  }
   return source;
 }
 
-Status FileSeriesSource::StartScan() {
-  status_ = Status::OK();
-  delivered_ = 0;
+Status FileSeriesSource::Seek(uint64_t offset, uint64_t end) {
   stream_.clear();
-  stream_.seekg(data_offset_);
-  if (!stream_) {
-    status_ = Status::IoError("seek failed: " + path_);
-    return status_;
+  stream_.seekg(static_cast<std::streamoff>(offset));
+  if (!stream_) return Status::IoError("seek failed: " + path_);
+  begin_ = 0;
+  end_ = 0;
+  read_pos_ = offset;
+  region_end_ = end;
+  drained_ = false;
+  return Status::OK();
+}
+
+template <typename Decode>
+Status FileSeriesSource::DecodeBuffered(const Decode& decode, uint64_t* used) {
+  while (true) {
+    bytes::ByteReader in(
+        std::string_view(buffer_).substr(begin_, end_ - begin_));
+    Status status = decode(&in);
+    if (status.ok()) {
+      begin_ += in.position();
+      if (used != nullptr) *used = in.position();
+      return status;
+    }
+    if (!in.short_read() || drained_) return status;
+    // Keep the unread tail, grow only when one item fills the buffer, and
+    // read as much of the region as fits.
+    const size_t pending = end_ - begin_;
+    if (buffer_.size() < kBufferBytes) {
+      buffer_.resize(kBufferBytes);
+    } else if (pending == buffer_.size()) {
+      buffer_.resize(buffer_.size() * 2);
+    }
+    std::memmove(buffer_.data(), buffer_.data() + begin_, pending);
+    begin_ = 0;
+    end_ = pending;
+    const uint64_t want =
+        std::min<uint64_t>(buffer_.size() - end_, region_end_ - read_pos_);
+    stream_.read(buffer_.data() + end_, static_cast<std::streamsize>(want));
+    const auto got = static_cast<size_t>(stream_.gcount());
+    end_ += got;
+    read_pos_ += got;
+    drained_ = got < want || read_pos_ == region_end_;
   }
+}
+
+Status FileSeriesSource::StartScan() {
+  delivered_ = 0;
+  status_ = Seek(data_offset_, data_end_);
+  if (!status_.ok()) return status_;
   ++stats_.scans;
   scans_counter_.Inc();
   return Status::OK();
@@ -191,54 +201,22 @@ Status FileSeriesSource::StartScan() {
 bool FileSeriesSource::Next(FeatureSet* out) {
   if (!status_.ok()) return false;
   if (delivered_ >= num_instants_) return false;
-
-  uint32_t count = 0;
-  int count_bytes = 4;
-  const bool count_ok = fixed_width_
-                            ? ReadU32(stream_, &count)
-                            : internal::ReadVarint32(stream_, &count,
-                                                     &count_bytes);
-  if (!count_ok) {
-    status_ = Status::Corruption("truncated instant in " + path_);
+  const uint32_t id_limit = symbols_.size();
+  uint64_t used = 0;
+  const Status decoded = DecodeBuffered(
+      [this, id_limit, out](bytes::ByteReader* in) {
+        return ReadInstant(in, encoding_, id_limit, out);
+      },
+      &used);
+  if (!decoded.ok()) {
+    status_ = Status::Corruption(decoded.message() + " in " + path_);
     return false;
-  }
-  // An instant holds distinct feature ids, so its count can never exceed
-  // the symbol table; a larger value is corruption and must fail fast
-  // rather than grinding through billions of bogus reads.
-  if (count > symbols_.size()) {
-    status_ = Status::Corruption("instant feature count " +
-                                 std::to_string(count) + " exceeds symbol "
-                                 "table in " + path_);
-    return false;
-  }
-  out->Reset();
-  uint64_t data_bytes = 0;
-  uint32_t previous = 0;
-  for (uint32_t i = 0; i < count; ++i) {
-    uint32_t value = 0;
-    int value_bytes = 4;
-    const bool value_ok = fixed_width_
-                              ? ReadU32(stream_, &value)
-                              : internal::ReadVarint32(stream_, &value,
-                                                       &value_bytes);
-    if (!value_ok) {
-      status_ = Status::Corruption("truncated feature id in " + path_);
-      return false;
-    }
-    const uint32_t id = fixed_width_ || i == 0 ? value : previous + value;
-    if (id >= symbols_.size()) {
-      status_ = Status::Corruption("feature id out of range in " + path_);
-      return false;
-    }
-    out->Set(id);
-    previous = id;
-    data_bytes += static_cast<uint64_t>(value_bytes);
   }
   ++delivered_;
   ++stats_.instants_read;
-  stats_.bytes_read += static_cast<uint64_t>(count_bytes) + data_bytes;
+  stats_.bytes_read += used;
   instants_counter_.Inc();
-  bytes_counter_.Inc(static_cast<uint64_t>(count_bytes) + data_bytes);
+  bytes_counter_.Inc(used);
   return true;
 }
 

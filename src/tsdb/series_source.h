@@ -9,6 +9,7 @@
 #include <string>
 
 #include "obs/metrics.h"
+#include "tsdb/instant_codec.h"
 #include "tsdb/symbol_table.h"
 #include "tsdb/time_series.h"
 #include "util/status.h"
@@ -95,6 +96,8 @@ class InMemorySeriesSource : public SeriesSource {
 /// Streaming source over a binary series file written by
 /// `WriteBinarySeries`. Each `StartScan` re-reads the file from the start of
 /// the instant data, so `stats().bytes_read` reflects true re-scan cost.
+/// Instants are decoded from a refill buffer of bounded size: it grows past
+/// its initial 64 KiB only to hold one header or instant that is larger.
 ///
 /// v3 files are integrity-checked once at `Open` (header and payload CRCs,
 /// one extra sequential pass over the payload); scans then stream the
@@ -113,6 +116,15 @@ class FileSeriesSource : public SeriesSource {
  private:
   FileSeriesSource() : stream_(nullptr) {}
 
+  /// Positions the buffer at file offset `offset`, reading no further than
+  /// `end`.
+  Status Seek(uint64_t offset, uint64_t end);
+  /// Runs `decode` on the buffered bytes. When it fails for want of bytes
+  /// and the region has more, refills and retries; on success consumes
+  /// what it read and returns the byte count in `*used` (optional).
+  template <typename Decode>
+  Status DecodeBuffered(const Decode& decode, uint64_t* used = nullptr);
+
   std::string path_;
   std::ifstream file_;
   // Reads go through `stream_`, whose buffer is either the file's own or a
@@ -121,9 +133,17 @@ class FileSeriesSource : public SeriesSource {
   std::istream stream_;
   SymbolTable symbols_;
   uint64_t num_instants_ = 0;
-  std::streampos data_offset_ = 0;
+  InstantEncoding encoding_ = InstantEncoding::kFixed32;
+  uint64_t data_offset_ = 0;
+  uint64_t data_end_ = 0;  // End of the instant data (v3) or UINT64_MAX.
+  // buffer_[begin_, end_) holds the file bytes ending at offset `read_pos_`.
+  std::string buffer_;
+  size_t begin_ = 0;
+  size_t end_ = 0;
+  uint64_t read_pos_ = 0;
+  uint64_t region_end_ = 0;
+  bool drained_ = false;  // The region (or the file) has no more bytes.
   uint64_t delivered_ = 0;
-  bool fixed_width_ = true;  // v1 fixed-width vs v2/v3 delta+varint data.
   Status status_;
 };
 

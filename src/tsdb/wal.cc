@@ -5,11 +5,12 @@
 
 #include <cstdlib>
 #include <filesystem>
-#include <sstream>
 
 #include "core/scan_accounting.h"
 #include "obs/metrics.h"
 #include "tsdb/fault_injection.h"
+#include "tsdb/instant_codec.h"
+#include "util/bytes.h"
 #include "util/crc32c.h"
 #include "util/fs.h"
 
@@ -19,116 +20,30 @@ namespace fs = std::filesystem;
 
 namespace {
 
-void AppendU32(std::string* out, uint32_t value) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<char>((value >> (8 * i)) & 0xff));
-  }
-}
+using bytes::LoadU32;
+using bytes::LoadU64;
 
-void AppendU64(std::string* out, uint64_t value) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>((value >> (8 * i)) & 0xff));
-  }
-}
-
-void AppendVarint32(std::string* out, uint32_t value) {
-  while (value >= 0x80) {
-    out->push_back(static_cast<char>((value & 0x7f) | 0x80));
-    value >>= 7;
-  }
-  out->push_back(static_cast<char>(value));
-}
-
-uint32_t LoadU32(const char* p) {
-  uint32_t value = 0;
-  for (int i = 0; i < 4; ++i) {
-    value |= static_cast<uint32_t>(static_cast<unsigned char>(p[i])) << (8 * i);
-  }
-  return value;
-}
-
-uint64_t LoadU64(const char* p) {
-  uint64_t value = 0;
-  for (int i = 0; i < 8; ++i) {
-    value |= static_cast<uint64_t>(static_cast<unsigned char>(p[i])) << (8 * i);
-  }
-  return value;
-}
-
-bool ReadVarint32Mem(const char* data, size_t len, size_t* pos,
-                     uint32_t* value) {
-  uint32_t result = 0;
-  int shift = 0;
-  while (true) {
-    if (*pos >= len) return false;
-    const unsigned char c = static_cast<unsigned char>(data[(*pos)++]);
-    result |= static_cast<uint32_t>(c & 0x7f) << shift;
-    if ((c & 0x80) == 0) break;
-    shift += 7;
-    if (shift >= 35) return false;  // Overlong encoding.
-  }
-  *value = result;
-  return true;
-}
-
-/// The v2 instant encoding: varint feature count, then the sorted ids
-/// delta-encoded (first absolute, then gaps >= 1).
+/// Encodes `instant` as a record payload: the v2 instant encoding.
 Status EncodeWalPayload(const FeatureSet& instant, std::string* out) {
-  AppendVarint32(out, instant.Count());
-  uint32_t prev = 0;
-  bool first = true;
-  Status status = Status::OK();
-  instant.ForEach([&](uint32_t feature) {
-    if (!status.ok()) return;
-    if (feature > kMaxWalFeatureId) {
-      status = Status::InvalidArgument("feature id beyond WAL cap: " +
-                                       std::to_string(feature));
-      return;
-    }
-    AppendVarint32(out, first ? feature : feature - prev);
-    prev = feature;
-    first = false;
-  });
-  return status;
+  uint32_t last = 0;
+  instant.ForEach([&last](uint32_t feature) { last = feature; });
+  if (last > kMaxWalFeatureId) {
+    return Status::InvalidArgument("feature id beyond WAL cap: " +
+                                   std::to_string(last));
+  }
+  PutInstant(out, instant, InstantEncoding::kVarintDelta);
+  return Status::OK();
 }
 
-Result<FeatureSet> DecodeWalPayload(const char* data, size_t len) {
-  size_t pos = 0;
-  uint32_t count = 0;
-  if (!ReadVarint32Mem(data, len, &pos, &count)) {
-    return Status::Corruption("WAL payload: truncated feature count");
-  }
-  // Each feature takes at least one encoded byte, so a count beyond the
-  // payload size is hostile before any allocation happens.
-  if (count > len) {
-    return Status::Corruption("WAL payload: implausible feature count");
-  }
+Result<FeatureSet> DecodeWalPayload(std::string_view payload) {
+  bytes::ByteReader in(payload);
   FeatureSet instant;
-  uint32_t prev = 0;
-  for (uint32_t i = 0; i < count; ++i) {
-    uint32_t value = 0;
-    if (!ReadVarint32Mem(data, len, &pos, &value)) {
-      return Status::Corruption("WAL payload: truncated feature id");
-    }
-    uint32_t feature;
-    if (i == 0) {
-      feature = value;
-    } else {
-      if (value == 0) {
-        return Status::Corruption("WAL payload: zero feature gap");
-      }
-      if (value > kMaxWalFeatureId - prev) {
-        return Status::Corruption("WAL payload: feature id overflow");
-      }
-      feature = prev + value;
-    }
-    if (feature > kMaxWalFeatureId) {
-      return Status::Corruption("WAL payload: feature id beyond cap");
-    }
-    instant.Set(feature);
-    prev = feature;
+  const Status status = ReadInstant(&in, InstantEncoding::kVarintDelta,
+                                    kMaxWalFeatureId + 1, &instant);
+  if (!status.ok()) {
+    return Status::Corruption("WAL payload: " + status.message());
   }
-  if (pos != len) {
+  if (!in.exhausted()) {
     return Status::Corruption("WAL payload: trailing bytes");
   }
   return instant;
@@ -158,29 +73,10 @@ bool HasLaterValidRecord(const std::string& bytes, size_t from,
   return false;
 }
 
-Result<std::string> ReadWalBytes(const std::string& path) {
-  FaultInjector& injector = FaultInjector::Global();
-  if (injector.ConsumeTransientReadFailure()) {
-    return Status::IoError("injected transient read failure: " + path);
-  }
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    std::error_code ec;
-    if (!fs::exists(path, ec)) return Status::NotFound("no WAL at " + path);
-    return Status::IoError("cannot open WAL: " + path);
-  }
-  std::unique_ptr<std::streambuf> wrapped = injector.MaybeWrap(in.rdbuf());
-  std::istream stream(wrapped != nullptr ? wrapped.get() : in.rdbuf());
-  std::ostringstream buffer;
-  buffer << stream.rdbuf();
-  if (in.bad()) return Status::IoError("WAL read failed: " + path);
-  return buffer.str();
-}
-
 Result<WalReplayInfo> ReplayWalImpl(
     const std::string& path, uint64_t start_seq, bool infer_base,
     const std::function<Status(uint64_t seq, const FeatureSet& instant)>& fn) {
-  Result<std::string> read = ReadWalBytes(path);
+  Result<std::string> read = ReadFileWithFaults(path);
   if (!read.ok()) return read.status();
   const std::string& bytes = *read;
 
@@ -249,7 +145,7 @@ Result<WalReplayInfo> ReplayWalImpl(
           ", found " + std::to_string(seq));
     }
     PPM_ASSIGN_OR_RETURN(const FeatureSet instant,
-                         DecodeWalPayload(payload, len));
+                         DecodeWalPayload(std::string_view(payload, len)));
     if (seq >= start_seq) {
       PPM_RETURN_IF_ERROR(fn(seq, instant));
       ++info.records_delivered;
@@ -357,15 +253,17 @@ Result<std::unique_ptr<WalWriter>> WalWriter::OpenImpl(const std::string& path,
 }
 
 Status WalWriter::Append(const FeatureSet& instant) {
-  std::string payload;
-  PPM_RETURN_IF_ERROR(EncodeWalPayload(instant, &payload));
-  std::string frame;
-  frame.reserve(kWalRecordHeaderBytes + payload.size());
-  AppendU32(&frame, static_cast<uint32_t>(payload.size()));
-  AppendU64(&frame, next_seq_);
-  AppendU32(&frame, crc32c::Value(frame.data(), 12));
-  AppendU32(&frame, crc32c::Value(payload));
-  frame += payload;
+  // The payload is encoded in place after a reserved header, which is
+  // filled in once the payload length and CRC are known.
+  std::string frame(kWalRecordHeaderBytes, '\0');
+  PPM_RETURN_IF_ERROR(EncodeWalPayload(instant, &frame));
+  const size_t payload_len = frame.size() - kWalRecordHeaderBytes;
+  char* header = frame.data();
+  bytes::StoreU32(header, static_cast<uint32_t>(payload_len));
+  bytes::StoreU64(header + 4, next_seq_);
+  bytes::StoreU32(header + 12, crc32c::Value(header, 12));
+  bytes::StoreU32(header + 16, crc32c::Value(header + kWalRecordHeaderBytes,
+                                             payload_len));
 
   if (FaultInjector::Global().ConsumeWalAppendCrash()) {
     // Deterministic kill mid-write: half the frame reaches the file, no

@@ -2,8 +2,18 @@
 #define PPM_UTIL_STOPWATCH_H_
 
 #include <chrono>
+#include <cstdint>
 
 namespace ppm {
+
+/// Milliseconds on the monotonic clock, from an arbitrary epoch: the one
+/// clock behind deadlines, io timeouts and token-bucket refills.
+inline uint64_t SteadyNowMs() {
+  return static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::milliseconds>(
+          std::chrono::steady_clock::now().time_since_epoch())
+          .count());
+}
 
 /// Monotonic wall-clock stopwatch used by the benchmark harnesses.
 class Stopwatch {

@@ -51,11 +51,18 @@ class AdmissionControllerTest : public ::testing::Test {
     return AdmissionController(std::move(options));
   }
 
+  AdmissionController Make(uint64_t queue_capacity, uint64_t num_workers = 1) {
+    AdmissionController::Options options;
+    options.queue_capacity = queue_capacity;
+    options.num_workers = num_workers;
+    return Make(std::move(options));
+  }
+
   uint64_t now_ms_ = 1000;
 };
 
 TEST_F(AdmissionControllerTest, UnlimitedByDefault) {
-  auto controller = Make({.queue_capacity = 100, .num_workers = 2});
+  auto controller = Make(100, 2);
   for (int i = 0; i < 50; ++i) {
     EXPECT_TRUE(controller.Admit("anyone", 0).admitted);
   }
@@ -118,7 +125,7 @@ TEST_F(AdmissionControllerTest, InflightCapIsolatesTenants) {
 }
 
 TEST_F(AdmissionControllerTest, QueueFullRejectsEveryone) {
-  auto controller = Make({.queue_capacity = 2});
+  auto controller = Make(2);
   EXPECT_TRUE(controller.Admit("a", 0).admitted);
   EXPECT_TRUE(controller.Admit("b", 0).admitted);
   auto rejected = controller.Admit("c", 0);
@@ -129,7 +136,7 @@ TEST_F(AdmissionControllerTest, QueueFullRejectsEveryone) {
 }
 
 TEST_F(AdmissionControllerTest, DeadlineInfeasibleRequestsAreShedEarly) {
-  auto controller = Make({.queue_capacity = 100, .num_workers = 1});
+  auto controller = Make(100, 1);
   // Teach the EMA that requests take ~200 ms.
   controller.OnExecuted(200);
   // Build a backlog of 5 -> estimated wait ~1000 ms.
@@ -149,7 +156,7 @@ TEST_F(AdmissionControllerTest, DeadlineInfeasibleRequestsAreShedEarly) {
 TEST_F(AdmissionControllerTest, EmptyQueueNeverShedsOnDeadline) {
   // The existing 1 ms-deadline server test depends on this: with no
   // backlog the estimated wait is zero and even a tiny deadline admits.
-  auto controller = Make({.queue_capacity = 4});
+  auto controller = Make(4);
   controller.OnExecuted(10'000);
   EXPECT_TRUE(controller.Admit("t", 1).admitted);
 }
@@ -178,7 +185,7 @@ TEST_F(AdmissionControllerTest, CachePressureDegradesReadiness) {
 }
 
 TEST_F(AdmissionControllerTest, DrainRejectsAndReportsDraining) {
-  auto controller = Make({.queue_capacity = 4});
+  auto controller = Make(4);
   controller.StartDrain();
   EXPECT_EQ(controller.ready_state(), wire::ReadyState::kDraining);
   auto rejected = controller.Admit("t", 0);
@@ -187,7 +194,7 @@ TEST_F(AdmissionControllerTest, DrainRejectsAndReportsDraining) {
 }
 
 TEST_F(AdmissionControllerTest, AdversarialTenantCardinalityIsBounded) {
-  auto controller = Make({.queue_capacity = 100'000});
+  auto controller = Make(100'000);
   // Thousands of distinct tenant names must not grow state without bound;
   // the health snapshot stays small because the tail shares one bucket.
   for (int i = 0; i < 5000; ++i) {

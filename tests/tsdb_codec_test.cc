@@ -5,7 +5,10 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <utility>
+#include <vector>
 
+#include "tsdb/series_source.h"
 #include "util/random.h"
 
 namespace ppm::tsdb {
@@ -158,6 +161,69 @@ TEST_F(CodecTest, TextWriterRejectsUnsafeNames) {
   EXPECT_EQ(WriteTextSeries(hash_series, path).code(),
             StatusCode::kInvalidArgument);
 }
+
+// Hand-built v2 files holding byte patterns the writer never emits. Both
+// readers -- the whole-file `ReadBinarySeries` and the streaming
+// `FileSeriesSource` -- must refuse each one as corruption.
+std::string V2File(const std::vector<std::string>& symbols,
+                   const std::string& instant) {
+  const auto u32 = [](uint32_t v) {
+    return std::string{static_cast<char>(v), static_cast<char>(v >> 8),
+                       static_cast<char>(v >> 16), static_cast<char>(v >> 24)};
+  };
+  std::string bytes("PPMTS2\n\0", 8);
+  bytes += u32(static_cast<uint32_t>(symbols.size()));
+  for (const std::string& name : symbols) {
+    bytes += u32(static_cast<uint32_t>(name.size()));
+    bytes += name;
+  }
+  bytes += u32(1);  // One instant, as a u64.
+  bytes += u32(0);
+  bytes += instant;
+  return bytes;
+}
+
+using NamedBytes = std::pair<const char*, std::string>;
+
+class MalformedV2Test : public CodecTest,
+                        public ::testing::WithParamInterface<NamedBytes> {};
+
+TEST_P(MalformedV2Test, BothReadersRejectAsCorruption) {
+  std::string name = GetParam().first;
+  name += ".ppmts";
+  const std::string path = TempPath(name);
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << GetParam().second;
+  }
+  EXPECT_EQ(ReadBinarySeries(path).status().code(), StatusCode::kCorruption);
+
+  auto source = FileSeriesSource::Open(path);
+  if (source.ok()) {
+    ASSERT_TRUE((*source)->StartScan().ok());
+    FeatureSet instant;
+    EXPECT_FALSE((*source)->Next(&instant));
+    EXPECT_EQ((*source)->status().code(), StatusCode::kCorruption);
+  } else {
+    EXPECT_EQ(source.status().code(), StatusCode::kCorruption);
+  }
+  std::remove(path.c_str());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Inputs, MalformedV2Test,
+    ::testing::Values(
+        // Symbols [a b a c]: on-disk id 2 is `a` again, not `c`.
+        std::make_pair("duplicate_symbol", V2File({"a", "b", "a", "c"},
+                                                  std::string("\x01\x02", 2))),
+        // Ids {1, 1 + 0}: a zero gap repeats an id.
+        std::make_pair("zero_gap",
+                       V2File({"a", "b", "c"}, std::string("\x02\x01\x00", 3))),
+        // Ids {1, 1 + 0xffffffff}: the gap wraps uint32 back to 0.
+        std::make_pair("wrapping_gap",
+                       V2File({"a", "b", "c"},
+                              std::string("\x02\x01\xff\xff\xff\xff\x0f", 7)))),
+    [](const auto& info) { return std::string(info.param.first); });
 
 }  // namespace
 }  // namespace ppm::tsdb
