@@ -1,5 +1,6 @@
 // Streaming miner bench: append throughput and snapshot latency of the
-// incremental hit-set miner vs re-running the batch miner from scratch at
+// whole-history incremental hit-set miner (`ContinuousMiner` with no
+// pattern window) vs re-running the batch miner from scratch at
 // each checkpoint. The streaming state never re-reads history, so its
 // per-checkpoint cost is flat while batch re-mining grows linearly with the
 // stream so far.
@@ -10,7 +11,7 @@
 #include "bench/bench_util.h"
 #include "core/hitset_miner.h"
 #include "obs/json_writer.h"
-#include "stream/streaming_miner.h"
+#include "stream/continuous_miner.h"
 #include "tsdb/series_source.h"
 #include "util/stopwatch.h"
 
@@ -33,7 +34,8 @@ void Run(obs::JsonWriter* rows) {
   tsdb::TimeSeries prefix;
   prefix.symbols() = data.series.symbols();
   for (uint64_t t = 0; t < seed_prefix; ++t) prefix.Append(data.series.at(t));
-  auto miner = DieOr(stream::StreamingMiner::SeedFromPrefix(options, prefix));
+  auto miner =
+      DieOr(stream::ContinuousMiner::SeedFromPrefix(options, prefix));
 
   std::printf("%12s %14s %16s %16s %10s\n", "instants", "append(Mi/s)",
               "snapshot(ms)", "batch_remine(ms)", "patterns");

@@ -1,6 +1,6 @@
 // Live periodicity monitoring with the incremental miner: seed a
-// StreamingMiner from the first day of a metrics feed, then keep appending
-// and snapshotting. Mid-stream the system's behaviour changes (a new
+// whole-history ContinuousMiner (no pattern window) from the first day of a
+// metrics feed, then keep appending and snapshotting. Mid-stream the system's behaviour changes (a new
 // periodic job appears); the drift detector flags it, and after reseeding
 // the new pattern is mined too.
 //
@@ -8,7 +8,7 @@
 
 #include <cstdio>
 
-#include "stream/streaming_miner.h"
+#include "stream/continuous_miner.h"
 #include "tsdb/time_series.h"
 #include "util/random.h"
 
@@ -32,7 +32,7 @@ ppm::tsdb::FeatureSet HourInstant(ppm::tsdb::SymbolTable* symbols,
   return instant;
 }
 
-void PrintSnapshot(const ppm::stream::StreamingMiner& miner,
+void PrintSnapshot(const ppm::stream::ContinuousMiner& miner,
                    const ppm::tsdb::SymbolTable& symbols, int day) {
   const ppm::MiningResult snapshot = miner.Snapshot();
   std::printf("day %3d: %llu segments, %zu frequent patterns:",
@@ -76,10 +76,13 @@ int main() {
     seed_day.Append(HourInstant(&symbols, &rng, 0, hour, kNewJobDay));
   }
   seed_day.symbols() = symbols;
-  // Drift is judged over the last 30 days, so new periodic behaviour is
-  // flagged promptly instead of having to outweigh all of history.
-  auto miner = stream::StreamingMiner::SeedFromPrefix(options, seed_day,
-                                                      /*drift_window=*/30);
+  // Patterns cover all of history (window_segments = 0), but drift is
+  // judged over the last 30 days, so new periodic behaviour is flagged
+  // promptly instead of having to outweigh all of history.
+  stream::ContinuousOptions continuous;
+  continuous.drift_window = 30;
+  auto miner =
+      stream::ContinuousMiner::SeedFromPrefix(options, seed_day, continuous);
   if (!miner.ok()) {
     std::fprintf(stderr, "%s\n", miner.status().ToString().c_str());
     return 1;
@@ -101,8 +104,7 @@ int main() {
   for (const Letter& drifted : (*miner)->DriftedLetters()) {
     letters.push_back(drifted);
   }
-  auto reseeded = stream::StreamingMiner::Create(options, letters,
-                                                 /*drift_window=*/30);
+  auto reseeded = stream::ContinuousMiner::Create(options, letters, continuous);
   if (!reseeded.ok()) {
     std::fprintf(stderr, "%s\n", reseeded.status().ToString().c_str());
     return 1;

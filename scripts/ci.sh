@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# CI gate: tier-1 build + tests with warnings as errors, a CLI smoke test
+# CI gate: tier-1 build + tests with warnings as errors, every example
+# binary run to a zero exit, a CLI smoke test
 # that validates the emitted stats/trace JSON actually parses, a
 # fault-injection smoke job (corruption harness under a nonzero fault seed,
 # deadline and budget exit codes), and a sanitizer matrix (TSan + ASan +
@@ -22,6 +23,17 @@ cmake -B "$BUILD_DIR" -G Ninja \
   -DCMAKE_CXX_FLAGS="-Werror -Wno-error=restrict"
 cmake --build "$BUILD_DIR"
 ctest --test-dir "$BUILD_DIR" --output-on-failure
+
+# Examples: every binary must run to a zero exit, so an example ported along
+# with a library change cannot rot unnoticed.
+EXAMPLES_RUN=0
+for example in "$BUILD_DIR"/examples/*; do
+  [[ -f "$example" && -x "$example" ]] || continue
+  "$example" > /dev/null || { echo "example $example exited $?"; exit 1; }
+  EXAMPLES_RUN=$((EXAMPLES_RUN + 1))
+done
+[[ "$EXAMPLES_RUN" -gt 0 ]] || { echo "no examples in $BUILD_DIR/examples"; exit 1; }
+echo "examples OK: $EXAMPLES_RUN ran"
 
 # CLI smoke: generate -> mine with reports -> validate the JSON.
 SMOKE_DIR=$(mktemp -d)

@@ -14,7 +14,6 @@
 #include "obs/trace.h"
 #include "stream/checkpoint.h"
 #include "stream/continuous_miner.h"
-#include "stream/streaming_miner.h"
 #include "tsdb/fault_injection.h"
 #include "tsdb/wal.h"
 

@@ -48,7 +48,8 @@ uint64_t PredictHitStoreBytes(HitStoreKind kind, uint64_t entries,
 
 Result<BudgetDecision> DecideHitStore(const MiningOptions& options,
                                       uint64_t num_periods,
-                                      uint32_t num_letters) {
+                                      uint32_t num_letters,
+                                      uint64_t reserved_bytes) {
   BudgetDecision decision;
   decision.store = options.hit_store;
 
@@ -59,22 +60,22 @@ Result<BudgetDecision> DecideHitStore(const MiningOptions& options,
   registry.GetGauge("ppm.budget.predicted_hits").Set(bound);
   registry.GetGauge("ppm.budget.predicted_bytes").Set(decision.predicted_bytes);
 
-  if (options.memory_budget_bytes == 0 ||
-      decision.predicted_bytes <= options.memory_budget_bytes) {
-    return decision;
-  }
+  const uint64_t limit = options.memory_budget_bytes;
+  const uint64_t available =
+      reserved_bytes < limit ? limit - reserved_bytes : 0;
+  if (limit == 0 || decision.predicted_bytes <= available) return decision;
 
   if (options.budget_policy == BudgetPolicy::kDegrade &&
       options.hit_store == HitStoreKind::kMaxSubpatternTree) {
     const uint64_t vertical_bytes =
         PredictHitStoreBytes(HitStoreKind::kVertical, bound, num_letters);
-    if (vertical_bytes <= options.memory_budget_bytes) {
+    if (vertical_bytes <= available) {
       decision.store = HitStoreKind::kVertical;
       decision.predicted_bytes = vertical_bytes;
       decision.degraded = true;
       registry.GetCounter("ppm.fault.degradations").Inc();
       PPM_LOG(kInfo) << "memory budget: degrading to vertical hit store ("
-                     << vertical_bytes << " <= " << options.memory_budget_bytes
+                     << vertical_bytes << " <= " << available
                      << " bytes predicted for |H| <= " << bound << ")";
       return decision;
     }
@@ -84,7 +85,18 @@ Result<BudgetDecision> DecideHitStore(const MiningOptions& options,
   return Status::ResourceExhausted(
       "predicted hit-set of " + std::to_string(bound) + " entries (~" +
       std::to_string(decision.predicted_bytes) + " bytes) exceeds memory "
-      "budget of " + std::to_string(options.memory_budget_bytes) + " bytes");
+      "budget of " + std::to_string(limit) + " bytes" +
+      (reserved_bytes > 0 ? " with " + std::to_string(reserved_bytes) +
+                                " bytes reserved by earlier hit stores"
+                          : ""));
+}
+
+Status HitStoreOverBudget(uint64_t bytes, uint64_t limit) {
+  obs::MetricsRegistry::Global().GetCounter("ppm.fault.budget_denials").Inc();
+  return Status::ResourceExhausted(
+      "hit store grew to " + std::to_string(bytes) +
+      " bytes, exceeding memory budget of " + std::to_string(limit) +
+      " bytes during the second scan");
 }
 
 }  // namespace ppm

@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "core/candidate_gen.h"
+#include "core/fault_metrics.h"
 #include "core/scan_accounting.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -123,6 +124,27 @@ DerivationStats DeriveFrequentPatterns(
     if (budget != nullptr) budget->Release(charged);
   }
   return stats;
+}
+
+Status DeriveFromHitStore(const F1ScanResult& f1, const HitStore& store,
+                          HitStoreKind kind, uint32_t max_letters,
+                          ThreadPool* pool, const Interrupt& interrupt,
+                          MemoryBudget* budget, MiningResult* result) {
+  const DerivationStats derivation = DeriveFrequentPatterns(
+      f1, max_letters,
+      [&store](const Bitset& mask) { return store.CountSuperpatterns(mask); },
+      result, pool, interrupt, budget);
+  if (!derivation.status.ok()) return RecordFault(derivation.status);
+  result->Canonicalize();
+  MiningStats& stats = result->stats();
+  stats.num_f1_letters = f1.space.size();
+  stats.num_periods = f1.num_periods;
+  stats.candidates_evaluated = derivation.candidates_evaluated;
+  stats.max_level_reached = derivation.max_level_reached;
+  stats.hit_store_entries = store.num_entries();
+  stats.tree_nodes =
+      kind == HitStoreKind::kMaxSubpatternTree ? store.num_units() : 0;
+  return Status::OK();
 }
 
 }  // namespace ppm

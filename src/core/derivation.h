@@ -5,6 +5,7 @@
 #include <functional>
 
 #include "core/f1_scan.h"
+#include "core/hit_store.h"
 #include "core/mining_result.h"
 #include "util/bitset.h"
 #include "util/cancellation.h"
@@ -48,6 +49,17 @@ DerivationStats DeriveFrequentPatterns(
     const std::function<uint64_t(const Bitset&)>& count_fn,
     MiningResult* result, ThreadPool* pool = nullptr,
     const Interrupt& interrupt = Interrupt(), MemoryBudget* budget = nullptr);
+
+/// The hit-set miners' tail: derives every frequent pattern of `f1` from
+/// the finished `store` (a `kind` store over `f1.space`), canonicalizes
+/// `*result`, and fills its F_1 and hit-store statistics. `pool`,
+/// `interrupt` and `budget` are passed to `DeriveFrequentPatterns`. Returns
+/// the derivation status with fault accounting; `*result` is partial
+/// unless it is OK.
+Status DeriveFromHitStore(const F1ScanResult& f1, const HitStore& store,
+                          HitStoreKind kind, uint32_t max_letters,
+                          ThreadPool* pool, const Interrupt& interrupt,
+                          MemoryBudget* budget, MiningResult* result);
 
 }  // namespace ppm
 

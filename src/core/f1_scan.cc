@@ -1,6 +1,5 @@
 #include "core/f1_scan.h"
 
-#include <map>
 #include <utility>
 
 #include "core/fault_metrics.h"
@@ -15,10 +14,6 @@ namespace ppm {
 
 namespace {
 
-/// Per-position letter counts. An ordered map per position keeps letters in
-/// canonical (feature ascending) order for free.
-using CountTable = std::vector<std::map<tsdb::FeatureId, uint64_t>>;
-
 /// Segments counted between interrupt polls (never per instant).
 constexpr uint64_t kSegmentCheckStride = 1024;
 
@@ -27,7 +22,7 @@ constexpr uint64_t kSegmentCheckStride = 1024;
 /// re-check the interrupt and discard partial tables.
 void CountSegments(const std::vector<tsdb::FeatureSet>& instants,
                    uint32_t period, uint64_t seg_begin, uint64_t seg_end,
-                   const Interrupt& interrupt, CountTable* counts) {
+                   const Interrupt& interrupt, F1CountTable* counts) {
   for (uint64_t segment = seg_begin; segment < seg_end; ++segment) {
     if ((segment - seg_begin) % kSegmentCheckStride == 0 &&
         interrupt.ShouldStop()) {
@@ -42,8 +37,9 @@ void CountSegments(const std::vector<tsdb::FeatureSet>& instants,
   }
 }
 
-/// Thresholds and filters a finished count table into an `F1ScanResult`.
-F1ScanResult FinishF1(const CountTable& counts, const MiningOptions& options,
+}  // namespace
+
+F1ScanResult FinishF1(const F1CountTable& counts, const MiningOptions& options,
                       uint64_t num_periods) {
   F1ScanResult result;
   result.num_periods = num_periods;
@@ -63,9 +59,6 @@ F1ScanResult FinishF1(const CountTable& counts, const MiningOptions& options,
       letter_counts.push_back(count);
     }
   }
-  // FinishF1 runs exactly once per F1 build on both the sequential and
-  // sharded paths, so it is the single accounting site for the first pass.
-  RecordDbPass("f1_scan", num_periods * options.period, num_periods);
   auto& registry = obs::MetricsRegistry::Global();
   registry.GetGauge("ppm.f1.letters_seen").Set(letters_seen);
   registry.GetGauge("ppm.f1.letters_frequent").Set(letters.size());
@@ -77,17 +70,17 @@ F1ScanResult FinishF1(const CountTable& counts, const MiningOptions& options,
   return result;
 }
 
-}  // namespace
-
 F1ScanResult BuildF1FromInstants(const std::vector<tsdb::FeatureSet>& instants,
                                  const MiningOptions& options,
                                  ThreadPool* pool) {
   const obs::TraceSpan span = obs::Tracer::Global().StartSpan("f1_scan");
   const uint64_t num_periods = instants.size() / options.period;
   const Interrupt interrupt = options.interrupt();
+  // One pass over the materialized segments, however it is sharded.
+  RecordDbPass("f1_scan", num_periods * options.period, num_periods);
 
   if (pool == nullptr || pool->size() <= 1 || num_periods <= 1) {
-    CountTable counts(options.period);
+    F1CountTable counts(options.period);
     CountSegments(instants, options.period, 0, num_periods, interrupt,
                   &counts);
     return FinishF1(counts, options, num_periods);
@@ -96,8 +89,8 @@ F1ScanResult BuildF1FromInstants(const std::vector<tsdb::FeatureSet>& instants,
   // Sharded count: one private table per chunk of whole segments, summed in
   // chunk order afterwards. Letter counts are additive over disjoint
   // segments, so the merged table equals the sequential one exactly.
-  std::vector<CountTable> shard_counts(pool->size());
-  for (CountTable& table : shard_counts) table.resize(options.period);
+  std::vector<F1CountTable> shard_counts(pool->size());
+  for (F1CountTable& table : shard_counts) table.resize(options.period);
   parallel::ShardTimings timings = parallel::ShardedRun(
       *pool, num_periods, "f1_scan",
       [&instants, &options, &shard_counts,
@@ -108,7 +101,7 @@ F1ScanResult BuildF1FromInstants(const std::vector<tsdb::FeatureSet>& instants,
       interrupt);
 
   obs::TraceSpan merge_span = obs::Tracer::Global().StartSpan("f1_scan.merge");
-  CountTable& merged = shard_counts[0];
+  F1CountTable& merged = shard_counts[0];
   for (uint32_t c = 1; c < shard_counts.size(); ++c) {
     for (uint32_t position = 0; position < options.period; ++position) {
       for (const auto& [feature, count] : shard_counts[c][position]) {
@@ -143,7 +136,7 @@ Result<F1ScanResult> ScanForF1(tsdb::SeriesSource& source,
   }
 
   const obs::TraceSpan span = obs::Tracer::Global().StartSpan("f1_scan");
-  CountTable counts(options.period);
+  F1CountTable counts(options.period);
 
   PPM_RETURN_IF_ERROR(source.StartScan());
   const uint64_t covered = num_periods * options.period;
@@ -162,6 +155,7 @@ Result<F1ScanResult> ScanForF1(tsdb::SeriesSource& source,
   if (t < covered) {
     return Status::Internal("source ended before its declared length");
   }
+  RecordDbPass("f1_scan", covered, num_periods);
   return FinishF1(counts, options, num_periods);
 }
 

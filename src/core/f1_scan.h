@@ -2,6 +2,7 @@
 #define PPM_CORE_F1_SCAN_H_
 
 #include <cstdint>
+#include <map>
 #include <vector>
 
 #include "core/letter_space.h"
@@ -25,6 +26,17 @@ struct F1ScanResult {
   /// Exact frequency count of each letter, indexed like `space`.
   std::vector<uint64_t> letter_counts;
 };
+
+/// Per-position letter counts of one period: an ordered map per position
+/// keeps letters in canonical (feature ascending) order for free.
+using F1CountTable = std::vector<std::map<tsdb::FeatureId, uint64_t>>;
+
+/// Thresholds and filters a finished count table (one row per position of
+/// `options.period`, counted over `num_periods` whole segments) into an
+/// `F1ScanResult`. Records no database pass: the caller accounts for the
+/// scan that filled `counts`.
+F1ScanResult FinishF1(const F1CountTable& counts, const MiningOptions& options,
+                      uint64_t num_periods);
 
 /// Scans `source` once, counting each (position, feature) letter over whole
 /// period segments, and keeps the letters whose count meets the threshold.

@@ -52,7 +52,7 @@ struct MiningOptions {
   HitStoreKind hit_store = HitStoreKind::kVertical;
 
   /// Worker threads for the hit-set and multi-period miners. 1 (the
-  /// default) runs the exact sequential code paths; 0 means "use the
+  /// default) streams the series from its source; 0 means "use the
   /// hardware concurrency"; anything larger shards the scans, the
   /// derivation, and the per-period loop across a thread pool (see
   /// docs/PARALLELISM.md). Mined patterns and counts are identical at any

@@ -24,7 +24,7 @@ constexpr uint32_t kMaxSymbolNameBytes = 1u << 20;
 constexpr uint32_t kMaxLetters = 1u << 24;
 
 std::string EncodeState(const CheckpointData& data) {
-  const StreamingMinerState& state = data.state.core;
+  const ContinuousMinerState& state = data.state;
   std::string out;
   PutU32(&out, kCheckpointVersion);
   PutU32(&out, data.period);
@@ -33,7 +33,7 @@ std::string EncodeState(const CheckpointData& data) {
   PutU32(&out, data.max_letters);
   PutU32(&out, static_cast<uint32_t>(data.hit_store));
   PutU32(&out, state.drift_window);
-  PutU32(&out, data.state.window_segments);  // v2
+  PutU32(&out, state.window_segments);  // v2
   PutU64(&out, state.instants_seen);
   PutU64(&out, state.segments_committed);
   PutU32(&out, static_cast<uint32_t>(data.symbols.size()));
@@ -69,8 +69,8 @@ std::string EncodeState(const CheckpointData& data) {
   }
   // v2: the retained window masks, oldest first, right before the hits so
   // a decoder can cross-check both against each other.
-  PutU32(&out, static_cast<uint32_t>(data.state.window_masks.size()));
-  for (const std::vector<uint32_t>& mask : data.state.window_masks) {
+  PutU32(&out, static_cast<uint32_t>(state.window_masks.size()));
+  for (const std::vector<uint32_t>& mask : state.window_masks) {
     PutU32(&out, static_cast<uint32_t>(mask.size()));
     for (const uint32_t index : mask) PutU32(&out, index);
   }
@@ -109,11 +109,11 @@ Result<CheckpointData> DecodeState(std::string_view block) {
   if (hit_store > 1) return corrupt("unknown hit store kind");
   data.hit_store = static_cast<HitStoreKind>(hit_store);
 
-  StreamingMinerState& state = data.state.core;
+  ContinuousMinerState& state = data.state;
   if (!cursor.ReadU32(&state.drift_window)) {
     return corrupt("truncated cursor state");
   }
-  if (version >= 2 && !cursor.ReadU32(&data.state.window_segments)) {
+  if (version >= 2 && !cursor.ReadU32(&state.window_segments)) {
     return corrupt("truncated window size");
   }
   if (!cursor.ReadU64(&state.instants_seen) ||
@@ -229,14 +229,14 @@ Result<CheckpointData> DecodeState(std::string_view block) {
     if (cursor.remaining() / 4 < num_masks) {
       return corrupt("implausible window mask count");
     }
-    data.state.window_masks.resize(num_masks);
+    state.window_masks.resize(num_masks);
     for (uint32_t w = 0; w < num_masks; ++w) {
       uint32_t bits = 0;
       if (!cursor.ReadU32(&bits)) return corrupt("truncated window mask");
       if (cursor.remaining() / 4 < bits) {
         return corrupt("truncated window mask");
       }
-      auto& mask = data.state.window_masks[w];
+      auto& mask = state.window_masks[w];
       mask.reserve(bits);
       for (uint32_t i = 0; i < bits; ++i) {
         uint32_t index = 0;
@@ -278,40 +278,10 @@ Status SyncPath(const std::string& path) {
   return fsutil::FsyncPath(path);
 }
 
-Status WriteCheckpointData(const CheckpointData& data, const std::string& dir) {
-  const std::string bytes =
-      frame::EncodeFile(kCheckpointMagic, EncodeState(data));
-
-  obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
-  const Status written =
-      fsutil::AtomicWriteFile(CheckpointPath(dir), bytes, SyncPath);
-  if (!written.ok()) {
-    metrics.GetCounter("ppm.stream.checkpoint.failures").Inc();
-    return written;
-  }
-  metrics.GetCounter("ppm.stream.checkpoint.writes").Inc();
-  metrics.GetCounter("ppm.stream.checkpoint.bytes").Inc(bytes.size());
-  return Status::OK();
-}
-
-CheckpointData ConfigOf(const MiningOptions& options,
-                        const tsdb::SymbolTable& symbols) {
-  CheckpointData data;
-  data.period = options.period;
-  data.min_confidence = options.min_confidence;
-  data.min_count = options.min_count;
-  data.max_letters = options.max_letters;
-  data.hit_store = options.hit_store;
-  data.symbols = symbols.names();
-  return data;
-}
-
-/// The shared recovery tail: replay every WAL record at or past the
-/// checkpoint's instant cursor into `miner`. Works for either miner type
-/// (both expose `Append` and `instants_seen`).
-template <typename Miner>
+/// The recovery tail: replay every WAL record at or past the checkpoint's
+/// instant cursor into `miner`.
 Result<tsdb::WalReplayInfo> ReplayWalTail(const std::string& dir,
-                                          Miner& miner) {
+                                          ContinuousMiner& miner) {
   const uint64_t checkpoint_instants = miner.instants_seen();
   auto replayed = tsdb::ReplayWal(
       WalPath(dir), checkpoint_instants,
@@ -358,17 +328,28 @@ std::string WalPath(const std::string& dir) { return dir + "/wal.ppmwal"; }
 Status WriteCheckpoint(const ContinuousMiner& miner,
                        const tsdb::SymbolTable& symbols,
                        const std::string& dir) {
-  CheckpointData data = ConfigOf(miner.options(), symbols);
+  CheckpointData data;
+  const MiningOptions& options = miner.options();
+  data.period = options.period;
+  data.min_confidence = options.min_confidence;
+  data.min_count = options.min_count;
+  data.max_letters = options.max_letters;
+  data.hit_store = options.hit_store;
+  data.symbols = symbols.names();
   data.state = miner.ExportState();
-  return WriteCheckpointData(data, dir);
-}
+  const std::string bytes =
+      frame::EncodeFile(kCheckpointMagic, EncodeState(data));
 
-Status WriteCheckpoint(const StreamingMiner& miner,
-                       const tsdb::SymbolTable& symbols,
-                       const std::string& dir) {
-  CheckpointData data = ConfigOf(miner.options(), symbols);
-  data.state.core = miner.ExportState();
-  return WriteCheckpointData(data, dir);
+  obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
+  const Status written =
+      fsutil::AtomicWriteFile(CheckpointPath(dir), bytes, SyncPath);
+  if (!written.ok()) {
+    metrics.GetCounter("ppm.stream.checkpoint.failures").Inc();
+    return written;
+  }
+  metrics.GetCounter("ppm.stream.checkpoint.writes").Inc();
+  metrics.GetCounter("ppm.stream.checkpoint.bytes").Inc(bytes.size());
+  return Status::OK();
 }
 
 Result<CheckpointData> ReadCheckpoint(const std::string& path) {
@@ -394,24 +375,6 @@ Result<std::unique_ptr<ContinuousMiner>> RestoreContinuousMiner(
   return ContinuousMiner::Restore(options, data.state, compact_every);
 }
 
-Result<std::unique_ptr<StreamingMiner>> RestoreMiner(
-    const CheckpointData& data, const MiningOptions& runtime) {
-  if (data.state.window_segments != 0) {
-    return Status::Corruption(
-        "checkpoint carries a pattern window of " +
-        std::to_string(data.state.window_segments) +
-        " segments; resume it as a continuous stream");
-  }
-  MiningOptions options = runtime;
-  options.period = data.period;
-  options.min_confidence = data.min_confidence;
-  options.min_count = data.min_count;
-  options.max_letters = data.max_letters;
-  options.hit_store = data.hit_store;
-  options.num_threads = 1;
-  return StreamingMiner::Restore(options, data.state.core);
-}
-
 Result<RecoveredContinuousStream> RecoverContinuousStream(
     const std::string& dir, const MiningOptions& runtime,
     uint32_t compact_every) {
@@ -428,32 +391,11 @@ Result<RecoveredContinuousStream> RecoverContinuousStream(
   return recovered;
 }
 
-Result<RecoveredStream> RecoverStream(const std::string& dir,
-                                      const MiningOptions& runtime) {
-  obs::MetricsRegistry::Global()
-      .GetCounter("ppm.stream.recovery.attempts")
-      .Inc();
-  PPM_ASSIGN_OR_RETURN(const CheckpointData data,
-                       ReadCheckpoint(CheckpointPath(dir)));
-  RecoveredStream recovered;
-  recovered.symbols = data.symbols;
-  PPM_ASSIGN_OR_RETURN(recovered.miner, RestoreMiner(data, runtime));
-  PPM_ASSIGN_OR_RETURN(recovered.wal, ReplayWalTail(dir, *recovered.miner));
-  return recovered;
-}
-
 Status CheckpointStream(const ContinuousMiner& miner, tsdb::WalWriter& wal,
                         const tsdb::SymbolTable& symbols,
                         const std::string& dir) {
   // WAL first: the checkpoint must never claim instants the log could
   // still lose (recovery treats that as corruption).
-  PPM_RETURN_IF_ERROR(wal.Sync());
-  return WriteCheckpoint(miner, symbols, dir);
-}
-
-Status CheckpointStream(const StreamingMiner& miner, tsdb::WalWriter& wal,
-                        const tsdb::SymbolTable& symbols,
-                        const std::string& dir) {
   PPM_RETURN_IF_ERROR(wal.Sync());
   return WriteCheckpoint(miner, symbols, dir);
 }

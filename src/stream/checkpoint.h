@@ -7,14 +7,13 @@
 #include <vector>
 
 #include "stream/continuous_miner.h"
-#include "stream/streaming_miner.h"
 #include "tsdb/symbol_table.h"
 #include "tsdb/wal.h"
 #include "util/status.h"
 
 namespace ppm::stream {
 
-/// Versioned, CRC-framed checkpoint of a continuous (or streaming) miner,
+/// Versioned, CRC-framed checkpoint of a continuous miner,
 /// the other half of crash-safe streaming (docs/ROBUSTNESS.md "Crash
 /// recovery"):
 ///
@@ -42,8 +41,7 @@ std::string WalPath(const std::string& dir);
 
 /// Everything a checkpoint file stores: the mining configuration the
 /// stream was started with, the symbol names interned so far, and the full
-/// miner state (the continuous state; a `StreamingMiner` checkpoint is the
-/// window-less case, `state.core` alone).
+/// miner state.
 struct CheckpointData {
   uint32_t period = 0;
   double min_confidence = 0.0;
@@ -57,9 +55,6 @@ struct CheckpointData {
 /// Serializes `miner` + `symbols` and atomically replaces the checkpoint
 /// in `dir`. On any failure the previous checkpoint is untouched.
 Status WriteCheckpoint(const ContinuousMiner& miner,
-                       const tsdb::SymbolTable& symbols,
-                       const std::string& dir);
-Status WriteCheckpoint(const StreamingMiner& miner,
                        const tsdb::SymbolTable& symbols,
                        const std::string& dir);
 
@@ -76,23 +71,10 @@ Result<std::unique_ptr<ContinuousMiner>> RestoreContinuousMiner(
     const CheckpointData& data, const MiningOptions& runtime,
     uint32_t compact_every = 0);
 
-/// Whole-history facade of `RestoreContinuousMiner`: rejects checkpoints
-/// that carry a pattern window (`kCorruption` -- a windowed stream cannot
-/// be resumed as a `StreamingMiner` without silently changing results).
-Result<std::unique_ptr<StreamingMiner>> RestoreMiner(
-    const CheckpointData& data, const MiningOptions& runtime);
-
 /// Result of `RecoverContinuousStream`: the restored-and-caught-up miner,
 /// the symbol names at checkpoint time, and what the WAL replay found.
 struct RecoveredContinuousStream {
   std::unique_ptr<ContinuousMiner> miner;
-  std::vector<std::string> symbols;
-  tsdb::WalReplayInfo wal;
-};
-
-/// Result of `RecoverStream` (whole-history facade).
-struct RecoveredStream {
-  std::unique_ptr<StreamingMiner> miner;
   std::vector<std::string> symbols;
   tsdb::WalReplayInfo wal;
 };
@@ -105,15 +87,10 @@ struct RecoveredStream {
 Result<RecoveredContinuousStream> RecoverContinuousStream(
     const std::string& dir, const MiningOptions& runtime,
     uint32_t compact_every = 0);
-Result<RecoveredStream> RecoverStream(const std::string& dir,
-                                      const MiningOptions& runtime);
 
 /// The checkpoint barrier: syncs `wal` (so every instant the checkpoint
 /// covers is durable first) and then atomically writes the checkpoint.
 Status CheckpointStream(const ContinuousMiner& miner, tsdb::WalWriter& wal,
-                        const tsdb::SymbolTable& symbols,
-                        const std::string& dir);
-Status CheckpointStream(const StreamingMiner& miner, tsdb::WalWriter& wal,
                         const tsdb::SymbolTable& symbols,
                         const std::string& dir);
 

@@ -47,40 +47,38 @@ Result<std::unique_ptr<ContinuousMiner>> ContinuousMiner::SeedFromPrefix(
 
 ContinuousMinerState ContinuousMiner::ExportState() const {
   ContinuousMinerState state;
-  StreamingMinerState& core = state.core;
-  core.drift_window = drift_window_;
-  core.letters = space_.letters();
-  core.seeded_counts = seeded_counts_;
-  core.other_counts.resize(options_.period);
+  state.drift_window = drift_window_;
+  state.window_segments = window_segments_;
+  state.letters = space_.letters();
+  state.seeded_counts = seeded_counts_;
+  state.other_counts.resize(options_.period);
   for (uint32_t position = 0; position < options_.period; ++position) {
-    auto& row = core.other_counts[position];
+    auto& row = state.other_counts[position];
     row.assign(other_counts_[position].begin(), other_counts_[position].end());
     std::sort(row.begin(), row.end());
   }
-  core.window_history.assign(window_history_.begin(), window_history_.end());
-  core.pending_other = pending_other_;
-  core.segment_mask = segment_mask_.ToVector();
-  core.segment_position = segment_position_;
-  core.instants_seen = instants_seen_;
-  core.segments_committed = segments_committed_;
-  store_->ForEachHit([&core](const Bitset& mask, uint64_t count) {
-    core.hits.emplace_back(mask.ToVector(), count);
+  state.window_history.assign(window_history_.begin(), window_history_.end());
+  state.pending_other = pending_other_;
+  state.segment_mask = segment_mask_.ToVector();
+  state.segment_position = segment_position_;
+  state.instants_seen = instants_seen_;
+  state.segments_committed = segments_committed_;
+  store_->ForEachHit([&state](const Bitset& mask, uint64_t count) {
+    state.hits.emplace_back(mask.ToVector(), count);
   });
-  std::sort(core.hits.begin(), core.hits.end());
-  state.window_segments = window_segments_;
+  std::sort(state.hits.begin(), state.hits.end());
   state.window_masks.assign(window_masks_.begin(), window_masks_.end());
   return state;
 }
 
 Result<std::unique_ptr<ContinuousMiner>> ContinuousMiner::Restore(
-    const MiningOptions& options, const ContinuousMinerState& full_state,
+    const MiningOptions& options, const ContinuousMinerState& state,
     uint32_t compact_every) {
-  const StreamingMinerState& state = full_state.core;
   // `Create` re-validates the letters; a rejection here means the state
   // bytes are bad, not that the caller misconfigured anything.
   ContinuousOptions continuous;
   continuous.drift_window = state.drift_window;
-  continuous.window_segments = full_state.window_segments;
+  continuous.window_segments = state.window_segments;
   continuous.compact_every = compact_every;
   auto created = Create(options, state.letters, continuous);
   if (!created.ok()) {
@@ -117,9 +115,9 @@ Result<std::unique_ptr<ContinuousMiner>> ContinuousMiner::Restore(
   // With a finite window, per-letter counts cover only the retained
   // segments; unbounded, they cover every committed segment.
   const uint64_t pattern_horizon =
-      full_state.window_segments > 0
+      state.window_segments > 0
           ? std::min<uint64_t>(state.segments_committed,
-                               full_state.window_segments)
+                               state.window_segments)
           : state.segments_committed;
   for (const uint64_t count : state.seeded_counts) {
     if (count > pattern_horizon) {
@@ -215,8 +213,8 @@ Result<std::unique_ptr<ContinuousMiner>> ContinuousMiner::Restore(
     }
     total_hits += count;
   }
-  if (full_state.window_segments == 0) {
-    if (!full_state.window_masks.empty()) {
+  if (state.window_segments == 0) {
+    if (!state.window_masks.empty()) {
       return corrupt("window masks without a pattern window");
     }
   } else {
@@ -224,12 +222,12 @@ Result<std::unique_ptr<ContinuousMiner>> ContinuousMiner::Restore(
     // re-aggregating them must reproduce both the per-letter counts and the
     // hit multiset -- the eviction-safety invariant: what the window says
     // was contributed is exactly what a future eviction will withdraw.
-    if (full_state.window_masks.size() != pattern_horizon) {
+    if (state.window_masks.size() != pattern_horizon) {
       return corrupt("window mask count mismatch");
     }
     std::vector<uint64_t> recount(space.size(), 0);
     std::map<std::vector<uint32_t>, uint64_t> remasked;
-    for (const std::vector<uint32_t>& mask : full_state.window_masks) {
+    for (const std::vector<uint32_t>& mask : state.window_masks) {
       for (size_t i = 0; i < mask.size(); ++i) {
         if (i > 0 && mask[i] <= mask[i - 1]) {
           return corrupt("window mask not sorted");
@@ -265,8 +263,8 @@ Result<std::unique_ptr<ContinuousMiner>> ContinuousMiner::Restore(
   }
   miner->window_history_.assign(state.window_history.begin(),
                                 state.window_history.end());
-  miner->window_masks_.assign(full_state.window_masks.begin(),
-                              full_state.window_masks.end());
+  miner->window_masks_.assign(state.window_masks.begin(),
+                              state.window_masks.end());
   miner->pending_other_ = state.pending_other;
   for (const uint32_t index : state.segment_mask) {
     miner->segment_mask_.Set(index);
@@ -274,9 +272,9 @@ Result<std::unique_ptr<ContinuousMiner>> ContinuousMiner::Restore(
   miner->segment_position_ = state.segment_position;
   miner->instants_seen_ = state.instants_seen;
   miner->segments_committed_ = state.segments_committed;
-  if (full_state.window_segments > 0) {
+  if (state.window_segments > 0) {
     miner->segments_evicted_ =
-        state.segments_committed - full_state.window_masks.size();
+        state.segments_committed - state.window_masks.size();
   }
   for (const auto& [mask_bits, count] : state.hits) {
     Bitset mask(space.size());

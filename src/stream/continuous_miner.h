@@ -14,7 +14,6 @@
 #include "core/mining_options.h"
 #include "core/mining_result.h"
 #include "obs/metrics.h"
-#include "stream/streaming_miner.h"
 #include "tsdb/time_series.h"
 #include "util/status.h"
 
@@ -23,8 +22,13 @@ namespace ppm::stream {
 /// Engine configuration beyond `MiningOptions`: the drift-detection window,
 /// the pattern sliding window, and the compaction cadence.
 struct ContinuousOptions {
-  /// Horizon for `DriftedLetters` over unseeded letters (segments; 0 = the
-  /// whole stream). Same semantics as `StreamingMiner`'s drift window.
+  /// Horizon for `DriftedLetters` over unseeded letters, in committed
+  /// segments. 0 evaluates them over the whole stream (consistent with what
+  /// a batch `F_1` scan would find); W > 0 evaluates them over the last W
+  /// committed segments, which notices newly appearing periodic behaviour
+  /// promptly instead of waiting for it to dominate all of history. Before
+  /// W segments have committed, the horizon is the whole stream so far and
+  /// the threshold is taken over that shorter horizon.
   uint32_t drift_window = 0;
   /// Pattern sliding window in committed segments. 0 mines the entire
   /// history; W > 0 means every query reflects exactly the last
@@ -40,24 +44,54 @@ struct ContinuousOptions {
   uint32_t compact_every = 0;
 };
 
-/// The complete serializable state of a `ContinuousMiner`: the streaming
-/// core plus the sliding-window eviction state. Deterministic like
-/// `StreamingMinerState`; the codec lives in `stream/checkpoint.h` (state
-/// block version 2).
+/// The complete serializable state of a `ContinuousMiner`, in a plain,
+/// deterministic form (sorted vectors, no hashing order): what a checkpoint
+/// persists and what `ContinuousMiner::Restore` validates and reloads. The
+/// codec lives in `stream/checkpoint.h` (state block version 2).
 struct ContinuousMinerState {
-  StreamingMinerState core;
+  uint32_t drift_window = 0;
   uint32_t window_segments = 0;
+  /// The seeded letter space, canonically sorted.
+  std::vector<Letter> letters;
+  /// Exact per-letter counts over the effective window, indexed like
+  /// `letters`.
+  std::vector<uint64_t> seeded_counts;
+  /// Unseeded (position, feature) counts over the drift horizon: per
+  /// position, sorted by feature id.
+  std::vector<std::vector<std::pair<tsdb::FeatureId, uint64_t>>> other_counts;
+  /// Unseeded letters of the last committed segments (finite drift window
+  /// only).
+  std::vector<std::vector<Letter>> window_history;
+  /// Unseeded letters of the in-flight segment.
+  std::vector<Letter> pending_other;
+  /// Set letter indices of the in-flight segment mask, ascending.
+  std::vector<uint32_t> segment_mask;
+  uint32_t segment_position = 0;
+  uint64_t instants_seen = 0;
+  uint64_t segments_committed = 0;
+  /// The hit multiset: (sorted letter indices of the mask, count), sorted
+  /// by mask for byte-identical re-serialization.
+  std::vector<std::pair<std::vector<uint32_t>, uint64_t>> hits;
   /// Seeded letter-index masks of the retained committed segments, oldest
   /// first, each sorted ascending. Present only with a finite window;
-  /// size == min(window_segments, core.segments_committed). Summing these
-  /// masks per letter reproduces `core.seeded_counts` exactly, and the
-  /// multiset of masks with >= 2 letters reproduces `core.hits` -- both
-  /// invariants are re-validated on `Restore`.
+  /// size == min(window_segments, segments_committed). Summing these masks
+  /// per letter reproduces `seeded_counts` exactly, and the multiset of
+  /// masks with >= 2 letters reproduces `hits` -- both invariants are
+  /// re-validated on `Restore`.
   std::vector<std::vector<uint32_t>> window_masks;
 };
 
-/// Continuous partial periodic pattern mining over an append-only series:
-/// the generalization of `StreamingMiner` (which now delegates here).
+/// Continuous partial periodic pattern mining over an append-only series.
+///
+/// The max-subpattern hit-set method is naturally one-pass once the
+/// candidate max-pattern `C_max` is fixed: every arriving period segment
+/// contributes one hit mask. Seed the letter space from a prefix of the
+/// stream (or an explicit letter list), then `Append` instants forever.
+/// Letters outside the seeded space are not tracked as pattern letters
+/// (their combinations cannot be recovered without a rescan), but exact
+/// counts are kept for every (position, feature) seen, so `DriftedLetters`
+/// reports when an unseeded letter crosses the threshold and a reseed (one
+/// full rescan via `MineHitSet`) is due.
 ///
 /// Maintains the F1 letter counts, the `C_max` letter space, and the
 /// max-subpattern hit store incrementally per appended segment, so a
@@ -115,8 +149,9 @@ class ContinuousMiner {
   /// and the effective window. Cost is independent of the stream length.
   MiningResult Snapshot() const;
 
-  /// Unseeded letters frequent over the drift horizon (see
-  /// `StreamingMiner::DriftedLetters`).
+  /// Unseeded letters whose exact count meets the frequency threshold over
+  /// the drift horizon: non-empty means the seeded space is stale and
+  /// pattern results may be missing combinations involving these letters.
   std::vector<Letter> DriftedLetters() const;
 
   /// Rebuilds the hit store from its live (nonzero) hits, dropping the

@@ -181,6 +181,17 @@ TEST(BoundaryTest, MultiPeriodBoundsAreValidated) {
         ASSERT_FALSE(r.ok());
         EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
       }
+      // Per-period thresholds are validated at every thread count too.
+      for (const double confidence : {0.0, 1.5}) {
+        MiningOptions bad = options;
+        bad.min_confidence = confidence;
+        InMemorySeriesSource source(&series);
+        const auto r = shared ? MineMultiPeriodShared(source, 2, 4, bad)
+                              : MineMultiPeriodLooped(source, 2, 4, bad);
+        ASSERT_FALSE(r.ok()) << "threads=" << threads << " shared=" << shared
+                             << " min_confidence=" << confidence;
+        EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+      }
     }
   }
 }

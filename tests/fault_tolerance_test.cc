@@ -4,10 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <thread>
 
 #include "core/budget.h"
+#include "core/f1_scan.h"
 #include "core/hit_store.h"
 #include "core/maximal_miner.h"
 #include "core/miner.h"
@@ -79,15 +81,33 @@ TEST(DeadlineMiningTest, AprioriAndMaximalHonorDeadlines) {
             StatusCode::kDeadlineExceeded);
 }
 
-TEST(DeadlineMiningTest, MultiPeriodHonorsDeadlines) {
-  MiningOptions options = BaseOptions();
-  options.deadline = Deadline::After(0);
-  tsdb::InMemorySeriesSource source(&LargeSeries());
-  EXPECT_EQ(MineMultiPeriodShared(source, 2, 8, options).status().code(),
-            StatusCode::kDeadlineExceeded);
-  tsdb::InMemorySeriesSource source2(&LargeSeries());
-  EXPECT_EQ(MineMultiPeriodLooped(source2, 2, 8, options).status().code(),
-            StatusCode::kDeadlineExceeded);
+// Both multi-period algorithms, streamed and sharded, stop on a cancelled
+// token or an expired deadline and never return a partial result.
+TEST(DeadlineMiningTest, MultiPeriodHonorsDeadlinesAndCancellation) {
+  for (const uint32_t threads : {1u, 4u}) {
+    for (const bool shared : {false, true}) {
+      for (const bool cancel : {true, false}) {
+        MiningOptions options = BaseOptions();
+        options.num_threads = threads;
+        if (cancel) {
+          options.cancel.Cancel();
+        } else {
+          options.deadline = Deadline::After(0);
+        }
+        tsdb::InMemorySeriesSource source(&LargeSeries());
+        const auto result = shared
+                                ? MineMultiPeriodShared(source, 46, 50, options)
+                                : MineMultiPeriodLooped(source, 46, 50, options);
+        ASSERT_FALSE(result.ok()) << "threads=" << threads
+                                  << " shared=" << shared;
+        EXPECT_EQ(result.status().code(), cancel
+                                              ? StatusCode::kCancelled
+                                              : StatusCode::kDeadlineExceeded)
+            << "threads=" << threads << " shared=" << shared << ": "
+            << result.status().ToString();
+      }
+    }
+  }
 }
 
 TEST(CancellationMiningTest, PreCancelledTokenReturnsCancelled) {
@@ -207,6 +227,63 @@ TEST(BudgetTest, VerticalPredictionCoversAStoreFilledToTheBound) {
   }
   EXPECT_GE(PredictHitStoreBytes(HitStoreKind::kVertical, entries, num_letters),
             store.ApproxMemoryBytes());
+}
+
+/// A series whose periods 8..12 all have frequent letters at 0.3.
+const tsdb::TimeSeries& MultiPeriodSeries() {
+  static const tsdb::TimeSeries* series = [] {
+    synth::GeneratorOptions options;
+    options.length = 6000;
+    options.period = 10;
+    options.max_pat_length = 4;
+    options.num_f1 = 6;
+    options.num_features = 8;
+    options.seed = 3;
+    auto generated = synth::GenerateSeries(options);
+    PPM_CHECK(generated.ok());
+    return new tsdb::TimeSeries(std::move(generated.value().series));
+  }();
+  return *series;
+}
+
+TEST(BudgetTest, SharedMultiPeriodBudgetsAllPeriodsTogether) {
+  MiningOptions options;
+  options.min_confidence = 0.3;
+  options.budget_policy = BudgetPolicy::kFail;
+  // Each period's predicted store alone fits a budget of the largest
+  // prediction; all five together do not.
+  uint64_t largest = 0;
+  uint64_t total = 0;
+  for (uint32_t period = 8; period <= 12; ++period) {
+    MiningOptions single = options;
+    single.period = period;
+    tsdb::InMemorySeriesSource source(&MultiPeriodSeries());
+    const auto f1 = ScanForF1(source, single);
+    ASSERT_TRUE(f1.ok()) << f1.status().ToString();
+    ASSERT_GE(f1->space.size(), 2u) << "period " << period;
+    const uint64_t predicted = PredictHitStoreBytes(
+        options.hit_store, HitSetUpperBound(f1->num_periods, f1->space.size()),
+        f1->space.size());
+    largest = std::max(largest, predicted);
+    total += predicted;
+  }
+  for (const uint32_t threads : {1u, 4u}) {
+    options.num_threads = threads;
+    options.memory_budget_bytes = largest;
+    tsdb::InMemorySeriesSource source(&MultiPeriodSeries());
+    const uint64_t before = CounterValue("ppm.fault.budget_denials");
+    const auto denied = MineMultiPeriodShared(source, 8, 12, options);
+    ASSERT_FALSE(denied.ok()) << "threads=" << threads;
+    EXPECT_EQ(denied.status().code(), StatusCode::kResourceExhausted)
+        << "threads=" << threads << ": " << denied.status().ToString();
+    EXPECT_GT(CounterValue("ppm.fault.budget_denials"), before);
+
+    options.memory_budget_bytes = total;
+    tsdb::InMemorySeriesSource fits_source(&MultiPeriodSeries());
+    const auto fits = MineMultiPeriodShared(fits_source, 8, 12, options);
+    EXPECT_TRUE(fits.ok()) << "threads=" << threads << ": "
+                           << fits.status().ToString();
+  }
 }
 
 TEST(BudgetTest, DecideHitStoreUnlimitedKeepsRequestedStore) {

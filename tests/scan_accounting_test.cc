@@ -25,7 +25,7 @@
 #include "core/multi_period.h"
 #include "obs/metrics.h"
 #include "obs/resource.h"
-#include "stream/streaming_miner.h"
+#include "stream/continuous_miner.h"
 #include "synth/generator.h"
 #include "tsdb/database.h"
 #include "tsdb/fault_injection.h"
@@ -304,7 +304,7 @@ TEST(ScanAccountingTest, WalReplayIsOnePassAndSnapshotIsZero) {
 
   // A streaming snapshot derives from the hit store alone: zero passes.
   auto miner =
-      stream::StreamingMiner::SeedFromPrefix(HitsetOptions(20), data.series);
+      stream::ContinuousMiner::SeedFromPrefix(HitsetOptions(20), data.series);
   ASSERT_TRUE(miner.status().ok()) << miner.status().ToString();
   registry.Reset();
   (*miner)->Snapshot();

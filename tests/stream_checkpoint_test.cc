@@ -1,4 +1,4 @@
-// Checkpoint/restore for the streaming miner: export/restore determinism,
+// Checkpoint/restore for the continuous miner: export/restore determinism,
 // the kill-point matrix (crash after every instant, recover, finish, and
 // the final snapshot must be byte-identical to an uninterrupted run), the
 // every-offset truncation + bit-flip harness over checkpoint files, and the
@@ -20,9 +20,10 @@
 #include <utility>
 #include <vector>
 
+#include "core/hitset_miner.h"
 #include "stream/continuous_miner.h"
-#include "stream/streaming_miner.h"
 #include "tsdb/fault_injection.h"
+#include "tsdb/series_source.h"
 #include "tsdb/wal.h"
 #include "util/random.h"
 
@@ -81,9 +82,10 @@ MiningOptions DefaultOptions() {
 
 /// Field-by-field equality of two exported states: the "byte-identical
 /// checkpoint" guarantee without going through the codec.
-void ExpectStatesEqual(const StreamingMinerState& a,
-                       const StreamingMinerState& b) {
+void ExpectStatesEqual(const ContinuousMinerState& a,
+                       const ContinuousMinerState& b) {
   EXPECT_EQ(a.drift_window, b.drift_window);
+  EXPECT_EQ(a.window_segments, b.window_segments);
   EXPECT_EQ(a.letters, b.letters);
   EXPECT_EQ(a.seeded_counts, b.seeded_counts);
   EXPECT_EQ(a.other_counts, b.other_counts);
@@ -94,14 +96,6 @@ void ExpectStatesEqual(const StreamingMinerState& a,
   EXPECT_EQ(a.instants_seen, b.instants_seen);
   EXPECT_EQ(a.segments_committed, b.segments_committed);
   EXPECT_EQ(a.hits, b.hits);
-}
-
-/// `ExpectStatesEqual` extended to the continuous state: core fields plus
-/// the sliding-window eviction state.
-void ExpectContinuousStatesEqual(const ContinuousMinerState& a,
-                                 const ContinuousMinerState& b) {
-  ExpectStatesEqual(a.core, b.core);
-  EXPECT_EQ(a.window_segments, b.window_segments);
   EXPECT_EQ(a.window_masks, b.window_masks);
 }
 
@@ -117,16 +111,14 @@ std::unique_ptr<ContinuousMiner> SeededContinuousMiner(
   return std::move(*miner);
 }
 
-std::unique_ptr<StreamingMiner> SeededMiner(const TimeSeries& series,
-                                            uint64_t prefix_len,
-                                            uint32_t drift_window = 0) {
-  TimeSeries prefix;
-  prefix.symbols() = series.symbols();
-  for (uint64_t t = 0; t < prefix_len; ++t) prefix.Append(series.at(t));
-  auto miner =
-      StreamingMiner::SeedFromPrefix(DefaultOptions(), prefix, drift_window);
-  EXPECT_TRUE(miner.ok()) << miner.status();
-  return std::move(*miner);
+/// A whole-history miner (`window_segments = 0`) seeded from the first
+/// `prefix_len` instants, with drift over `drift_window` segments.
+std::unique_ptr<ContinuousMiner> SeededMiner(const TimeSeries& series,
+                                             uint64_t prefix_len,
+                                             uint32_t drift_window = 0) {
+  ContinuousOptions continuous;
+  continuous.drift_window = drift_window;
+  return SeededContinuousMiner(series, prefix_len, continuous);
 }
 
 TEST(CheckpointStateTest, ExportRestoreRoundTripAtEveryCutKind) {
@@ -137,8 +129,8 @@ TEST(CheckpointStateTest, ExportRestoreRoundTripAtEveryCutKind) {
     auto original = SeededMiner(series, 200, /*drift_window=*/6);
     for (uint64_t t = 200; t < cut; ++t) original->Append(series.at(t));
 
-    const StreamingMinerState state = original->ExportState();
-    auto restored = StreamingMiner::Restore(DefaultOptions(), state);
+    const ContinuousMinerState state = original->ExportState();
+    auto restored = ContinuousMiner::Restore(DefaultOptions(), state);
     ASSERT_TRUE(restored.ok()) << "cut " << cut << ": " << restored.status();
     ExpectStatesEqual((*restored)->ExportState(), state);
 
@@ -158,40 +150,40 @@ TEST(CheckpointStateTest, RestoreRejectsTamperedStates) {
   const TimeSeries series = MakeSeries(500, 9);
   auto miner = SeededMiner(series, 100, /*drift_window=*/4);
   for (uint64_t t = 100; t < 443; ++t) miner->Append(series.at(t));
-  const StreamingMinerState good = miner->ExportState();
-  ASSERT_TRUE(StreamingMiner::Restore(DefaultOptions(), good).ok());
+  const ContinuousMinerState good = miner->ExportState();
+  ASSERT_TRUE(ContinuousMiner::Restore(DefaultOptions(), good).ok());
 
-  const auto expect_rejected = [&](StreamingMinerState state,
+  const auto expect_rejected = [&](ContinuousMinerState state,
                                    const char* what) {
-    const auto restored = StreamingMiner::Restore(DefaultOptions(), state);
+    const auto restored = ContinuousMiner::Restore(DefaultOptions(), state);
     ASSERT_FALSE(restored.ok()) << what;
     EXPECT_EQ(restored.status().code(), StatusCode::kCorruption) << what;
   };
 
   {
-    StreamingMinerState state = good;
+    ContinuousMinerState state = good;
     state.seeded_counts[0] = state.segments_committed + 1;
     expect_rejected(std::move(state), "seeded count beyond segments");
   }
   {
-    StreamingMinerState state = good;
+    ContinuousMinerState state = good;
     state.instants_seen += 1;
     expect_rejected(std::move(state), "cursor arithmetic mismatch");
   }
   {
-    StreamingMinerState state = good;
+    ContinuousMinerState state = good;
     if (!state.hits.empty()) {
       state.hits[0].second = state.segments_committed + 7;
       expect_rejected(std::move(state), "hit count beyond segments");
     }
   }
   {
-    StreamingMinerState state = good;
+    ContinuousMinerState state = good;
     state.letters.push_back(Letter{0, 99});  // Not canonically sorted.
     expect_rejected(std::move(state), "non-canonical letters");
   }
   {
-    StreamingMinerState state = good;
+    ContinuousMinerState state = good;
     state.window_history.pop_back();  // Window no longer matches counts.
     expect_rejected(std::move(state), "window/horizon mismatch");
   }
@@ -242,7 +234,7 @@ TEST(CheckpointStateTest, ContinuousRestoreRejectsTamperedWindowStates) {
     ContinuousMinerState state = good;
     for (auto& mask : state.window_masks) {
       if (!mask.empty()) {
-        mask.back() = static_cast<uint32_t>(good.core.letters.size());
+        mask.back() = static_cast<uint32_t>(good.letters.size());
         expect_rejected(std::move(state), "out-of-range letter index");
         break;
       }
@@ -298,14 +290,13 @@ TEST(CheckpointStateTest, ContinuousExportRestoreRoundTripsWithWindow) {
     auto restored = ContinuousMiner::Restore(DefaultOptions(), state,
                                              continuous.compact_every);
     ASSERT_TRUE(restored.ok()) << "cut " << cut << ": " << restored.status();
-    ExpectContinuousStatesEqual((*restored)->ExportState(), state);
+    ExpectStatesEqual((*restored)->ExportState(), state);
 
     for (uint64_t t = cut; t < series.length(); ++t) {
       original->Append(series.at(t));
       (*restored)->Append(series.at(t));
     }
-    ExpectContinuousStatesEqual((*restored)->ExportState(),
-                                original->ExportState());
+    ExpectStatesEqual((*restored)->ExportState(), original->ExportState());
     EXPECT_EQ((*restored)->Snapshot().ToString(series.symbols()),
               original->Snapshot().ToString(series.symbols()));
     EXPECT_EQ((*restored)->segments_evicted(), original->segments_evicted());
@@ -335,9 +326,94 @@ TEST_F(CheckpointDirTest, WriteReadCheckpointRoundTrip) {
   EXPECT_EQ(data->period, 4u);
   EXPECT_EQ(data->symbols, series.symbols().names());
 
-  auto restored = RestoreMiner(*data, DefaultOptions());
+  auto restored = RestoreContinuousMiner(*data, DefaultOptions());
   ASSERT_TRUE(restored.ok()) << restored.status();
   ExpectStatesEqual((*restored)->ExportState(), miner->ExportState());
+}
+
+std::string FromHex(std::string_view hex) {
+  std::string bytes;
+  for (size_t i = 0; i + 1 < hex.size(); i += 2) {
+    bytes.push_back(static_cast<char>(
+        std::stoi(std::string(hex.substr(i, 2)), nullptr, 16)));
+  }
+  return bytes;
+}
+
+/// Seven instants at period 2 (symbols a, c, bb): three whole segments and
+/// the first instant of a fourth.
+TimeSeries VersionOneSeries() {
+  TimeSeries series;
+  series.AppendNamed({"a", "c"});
+  series.AppendNamed({"bb"});
+  series.AppendNamed({"a"});
+  series.AppendNamed({"bb", "c"});
+  series.AppendNamed({"a", "c"});
+  series.AppendNamed({"bb"});
+  series.AppendNamed({"a", "bb"});
+  return series;
+}
+
+/// A version-1 checkpoint file, written field by field: the whole-history
+/// stream of `VersionOneSeries()` seeded from its three whole segments at
+/// min_confidence 0.5 with the vertical store. Version 1 predates the
+/// sliding window, so it has no `window_segments` and no window masks.
+std::string VersionOneCheckpoint() {
+  return FromHex(
+      "50504d434b50310a" "e000000000000000" "d543870b"  // magic, len, CRC
+      "01000000"                                       // version 1
+      "02000000" "000000000000e03f" "0000000000000000"  // period, conf, count
+      "00000000" "01000000" "00000000"  // max_letters, hit store, drift
+      "0700000000000000" "0300000000000000"  // instants, segments
+      "03000000" "01000000" "61" "01000000" "63" "02000000" "6262"
+      "03000000" "0000000000000000" "0000000001000000"  // letters (0,a)
+      "0100000002000000"                                // (0,c) (1,bb)
+      "0300000000000000" "0200000000000000" "0300000000000000"  // counts
+      "00000000" "01000000" "01000000" "0100000000000000"  // other: (1,c)=1
+      "00000000"                        // drift history
+      "01000000" "01000000" "00000000"  // segment position, mask {0}
+      "01000000" "00000000" "02000000"  // pending unseeded (0,bb)
+      "0200000000000000"                // hits
+      "03000000" "00000000" "01000000" "02000000" "0200000000000000"
+      "02000000" "00000000" "02000000" "0100000000000000");
+}
+
+TEST_F(CheckpointDirTest, VersionOneCheckpointRestoresAsWholeHistory) {
+  WriteBytes(CheckpointPath(dir_), VersionOneCheckpoint());
+  const auto data = ReadCheckpoint(CheckpointPath(dir_));
+  ASSERT_TRUE(data.ok()) << data.status();
+  EXPECT_EQ(data->symbols, (std::vector<std::string>{"a", "c", "bb"}));
+  EXPECT_EQ(data->state.window_segments, 0u);
+  auto restored = RestoreContinuousMiner(*data, MiningOptions());
+  ASSERT_TRUE(restored.ok()) << restored.status();
+  ContinuousMiner& miner = **restored;
+  EXPECT_EQ(miner.window_segments(), 0u);
+  EXPECT_EQ(miner.instants_seen(), 7u);
+
+  // The snapshot equals a batch mine of the same whole segments, before and
+  // after the restored in-flight segment completes.
+  TimeSeries series = VersionOneSeries();
+  MiningOptions batch_options;
+  batch_options.period = 2;
+  batch_options.min_confidence = 0.5;
+  for (const bool complete_segment : {false, true}) {
+    if (complete_segment) {
+      series.AppendNamed({"bb"});
+      miner.Append(series.at(7));
+    }
+    TimeSeries whole;
+    whole.symbols() = series.symbols();
+    for (uint64_t t = 0; t < series.length() / 2 * 2; ++t) {
+      whole.Append(series.at(t));
+    }
+    tsdb::InMemorySeriesSource source(&whole);
+    const auto batch = MineHitSet(source, batch_options);
+    ASSERT_TRUE(batch.ok()) << batch.status();
+    const MiningResult snapshot = miner.Snapshot();
+    EXPECT_GT(snapshot.size(), 3u);
+    EXPECT_EQ(snapshot.ToString(series.symbols()),
+              batch->ToString(series.symbols()));
+  }
 }
 
 TEST_F(CheckpointDirTest, KillPointMatrixRecoversDeterministically) {
@@ -352,7 +428,7 @@ TEST_F(CheckpointDirTest, KillPointMatrixRecoversDeterministically) {
   }
   const std::string ref_snapshot =
       reference->Snapshot().ToString(series.symbols());
-  const StreamingMinerState ref_state = reference->ExportState();
+  const ContinuousMinerState ref_state = reference->ExportState();
 
   for (uint64_t cut = kPrefix; cut <= series.length(); ++cut) {
     fs::remove_all(dir_);
@@ -391,10 +467,10 @@ TEST_F(CheckpointDirTest, KillPointMatrixRecoversDeterministically) {
     }
 
     // Recover, finish the stream, and demand the exact reference state.
-    auto recovered = RecoverStream(dir_, DefaultOptions());
+    auto recovered = RecoverContinuousStream(dir_, DefaultOptions());
     ASSERT_TRUE(recovered.ok()) << "cut " << cut << ": "
                                 << recovered.status();
-    StreamingMiner& miner = *recovered->miner;
+    ContinuousMiner& miner = *recovered->miner;
     EXPECT_EQ(miner.instants_seen(), cut) << "cut " << cut;
     auto wal = tsdb::WalWriter::Open(WalPath(dir_), tsdb::WalFsync::kNever,
                                      recovered->wal.next_seq,
@@ -410,7 +486,7 @@ TEST_F(CheckpointDirTest, KillPointMatrixRecoversDeterministically) {
   }
 }
 
-TEST_F(CheckpointDirTest, WindowedCheckpointRoundTripsAndGatesRestore) {
+TEST_F(CheckpointDirTest, WindowedCheckpointRoundTrips) {
   const TimeSeries series = MakeSeries(800, 19);
   ContinuousOptions continuous;
   continuous.window_segments = 10;
@@ -427,18 +503,9 @@ TEST_F(CheckpointDirTest, WindowedCheckpointRoundTripsAndGatesRestore) {
 
   auto restored = RestoreContinuousMiner(*data, DefaultOptions());
   ASSERT_TRUE(restored.ok()) << restored.status();
-  ExpectContinuousStatesEqual((*restored)->ExportState(),
-                              miner->ExportState());
+  ExpectStatesEqual((*restored)->ExportState(), miner->ExportState());
   EXPECT_EQ((*restored)->segments_evicted(), miner->segments_evicted());
-
-  // A windowed checkpoint cannot silently resume as a whole-history
-  // stream: the facade restore must reject it.
-  const auto as_streaming = RestoreMiner(*data, DefaultOptions());
-  ASSERT_FALSE(as_streaming.ok());
-  EXPECT_EQ(as_streaming.status().code(), StatusCode::kCorruption);
-  EXPECT_NE(as_streaming.status().ToString().find("pattern window"),
-            std::string::npos)
-      << as_streaming.status();
+  EXPECT_EQ((*restored)->window_segments(), 10u);
 }
 
 // The kill-point matrix for the continuous engine: with a sliding window
@@ -512,7 +579,7 @@ TEST_F(CheckpointDirTest, ContinuousKillPointMatrixRecoversDeterministically) {
       ASSERT_TRUE((*wal)->Append(series.at(t)).ok());
       miner.Append(series.at(t));
     }
-    ExpectContinuousStatesEqual(miner.ExportState(), ref_state);
+    ExpectStatesEqual(miner.ExportState(), ref_state);
     EXPECT_EQ(miner.Snapshot().ToString(series.symbols()), ref_snapshot)
         << "cut " << cut;
     EXPECT_EQ(miner.segments_evicted(), reference->segments_evicted())
@@ -638,14 +705,14 @@ TEST_F(CheckpointDirTest, FailedCheckpointWriteKeepsLastGood) {
   EXPECT_FALSE(fs::exists(CheckpointPath(dir_) + ".tmp"));
   const auto data = ReadCheckpoint(CheckpointPath(dir_));
   ASSERT_TRUE(data.ok()) << data.status();
-  EXPECT_EQ(data->state.core.instants_seen, good_instants);
+  EXPECT_EQ(data->state.instants_seen, good_instants);
 }
 
 TEST_F(CheckpointDirTest, CheckpointWithoutWalIsCorruption) {
   const TimeSeries series = MakeSeries(400, 2);
   auto miner = SeededMiner(series, 100);
   ASSERT_TRUE(WriteCheckpoint(*miner, series.symbols(), dir_).ok());
-  const auto recovered = RecoverStream(dir_, DefaultOptions());
+  const auto recovered = RecoverContinuousStream(dir_, DefaultOptions());
   ASSERT_FALSE(recovered.ok());
   EXPECT_EQ(recovered.status().code(), StatusCode::kCorruption);
 }
@@ -662,7 +729,7 @@ TEST_F(CheckpointDirTest, CheckpointAheadOfWalIsCorruption) {
   }
   ASSERT_TRUE((*wal)->Sync().ok());
   ASSERT_TRUE(WriteCheckpoint(*miner, series.symbols(), dir_).ok());
-  const auto recovered = RecoverStream(dir_, DefaultOptions());
+  const auto recovered = RecoverContinuousStream(dir_, DefaultOptions());
   ASSERT_FALSE(recovered.ok());
   EXPECT_EQ(recovered.status().code(), StatusCode::kCorruption);
   EXPECT_NE(recovered.status().ToString().find("ahead of the durable WAL"),
@@ -671,7 +738,7 @@ TEST_F(CheckpointDirTest, CheckpointAheadOfWalIsCorruption) {
 }
 
 TEST_F(CheckpointDirTest, MissingCheckpointIsNotFound) {
-  const auto recovered = RecoverStream(dir_, DefaultOptions());
+  const auto recovered = RecoverContinuousStream(dir_, DefaultOptions());
   ASSERT_FALSE(recovered.ok());
   EXPECT_EQ(recovered.status().code(), StatusCode::kNotFound);
 }

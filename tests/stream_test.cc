@@ -1,4 +1,8 @@
-#include "stream/streaming_miner.h"
+// Whole-history streaming: `ContinuousMiner` with no pattern window
+// (`window_segments = 0`) must snapshot exactly what a batch mine of every
+// whole segment so far finds, and detect drift in unseeded letters.
+
+#include "stream/continuous_miner.h"
 
 #include <gtest/gtest.h>
 
@@ -36,6 +40,14 @@ MiningOptions DefaultOptions() {
   return options;
 }
 
+/// Whole history with drift evaluated over the last `drift_window`
+/// committed segments (0: the whole stream).
+ContinuousOptions DriftWindow(uint32_t drift_window) {
+  ContinuousOptions continuous;
+  continuous.drift_window = drift_window;
+  return continuous;
+}
+
 std::map<std::string, uint64_t> AsCountMap(const MiningResult& result,
                                            const tsdb::SymbolTable& symbols) {
   std::map<std::string, uint64_t> out;
@@ -45,7 +57,7 @@ std::map<std::string, uint64_t> AsCountMap(const MiningResult& result,
   return out;
 }
 
-TEST(StreamingMinerTest, SnapshotMatchesBatchWhenNoDrift) {
+TEST(WholeHistoryTest, SnapshotMatchesBatchWhenNoDrift) {
   const TimeSeries series = MakeSeries(2000, 5);
   const MiningOptions options = DefaultOptions();
 
@@ -53,7 +65,7 @@ TEST(StreamingMinerTest, SnapshotMatchesBatchWhenNoDrift) {
   TimeSeries prefix;
   prefix.symbols() = series.symbols();
   for (uint64_t t = 0; t < 500; ++t) prefix.Append(series.at(t));
-  auto miner = StreamingMiner::SeedFromPrefix(options, prefix);
+  auto miner = ContinuousMiner::SeedFromPrefix(options, prefix);
   ASSERT_TRUE(miner.ok()) << miner.status();
   for (uint64_t t = 500; t < series.length(); ++t) {
     (*miner)->Append(series.at(t));
@@ -70,9 +82,9 @@ TEST(StreamingMinerTest, SnapshotMatchesBatchWhenNoDrift) {
   EXPECT_EQ((*miner)->segments_committed(), 500u);
 }
 
-TEST(StreamingMinerTest, PartialTrailingSegmentExcluded) {
+TEST(WholeHistoryTest, PartialTrailingSegmentExcluded) {
   const MiningOptions options = DefaultOptions();
-  auto miner = StreamingMiner::Create(
+  auto miner = ContinuousMiner::Create(
       options, {Letter{0, 0}, Letter{1, 1}});
   ASSERT_TRUE(miner.ok());
   // Two whole segments plus 3 trailing instants.
@@ -101,8 +113,8 @@ TEST(StreamingMinerTest, PartialTrailingSegmentExcluded) {
   EXPECT_EQ(snapshot.size(), 3u);  // a, b, ab.
 }
 
-TEST(StreamingMinerTest, SnapshotBeforeAnySegmentIsEmpty) {
-  auto miner = StreamingMiner::Create(DefaultOptions(), {Letter{0, 0}});
+TEST(WholeHistoryTest, SnapshotBeforeAnySegmentIsEmpty) {
+  auto miner = ContinuousMiner::Create(DefaultOptions(), {Letter{0, 0}});
   ASSERT_TRUE(miner.ok());
   EXPECT_TRUE((*miner)->Snapshot().empty());
   tsdb::FeatureSet instant;
@@ -111,9 +123,9 @@ TEST(StreamingMinerTest, SnapshotBeforeAnySegmentIsEmpty) {
   EXPECT_TRUE((*miner)->Snapshot().empty());  // Segment still in flight.
 }
 
-TEST(StreamingMinerTest, DriftDetection) {
+TEST(WholeHistoryTest, DriftDetection) {
   MiningOptions options = DefaultOptions();
-  auto miner = StreamingMiner::Create(options, {Letter{0, 0}});
+  auto miner = ContinuousMiner::Create(options, {Letter{0, 0}});
   ASSERT_TRUE(miner.ok());
   // Stream segments where an unseeded letter (pos 2, feature 7) fires in
   // every segment: it must be reported as drifted.
@@ -131,13 +143,13 @@ TEST(StreamingMinerTest, DriftDetection) {
   EXPECT_EQ(drifted[0].feature, 7u);
 }
 
-TEST(StreamingMinerTest, WindowedDriftNoticesNewBehaviorPromptly) {
+TEST(WholeHistoryTest, WindowedDriftNoticesNewBehaviorPromptly) {
   MiningOptions options = DefaultOptions();
   // 100 segments of history without the new letter, then 20 with it.
   auto whole_history =
-      StreamingMiner::Create(options, {Letter{0, 0}}, /*drift_window=*/0);
+      ContinuousMiner::Create(options, {Letter{0, 0}}, DriftWindow(0));
   auto windowed =
-      StreamingMiner::Create(options, {Letter{0, 0}}, /*drift_window=*/15);
+      ContinuousMiner::Create(options, {Letter{0, 0}}, DriftWindow(15));
   ASSERT_TRUE(whole_history.ok());
   ASSERT_TRUE(windowed.ok());
   const auto feed = [&](int segments, bool with_new_letter) {
@@ -162,10 +174,10 @@ TEST(StreamingMinerTest, WindowedDriftNoticesNewBehaviorPromptly) {
   EXPECT_EQ(drifted[0].feature, 5u);
 }
 
-TEST(StreamingMinerTest, WindowedDriftExpiresOldBehavior) {
+TEST(WholeHistoryTest, WindowedDriftExpiresOldBehavior) {
   MiningOptions options = DefaultOptions();
   auto miner =
-      StreamingMiner::Create(options, {Letter{0, 0}}, /*drift_window=*/10);
+      ContinuousMiner::Create(options, {Letter{0, 0}}, DriftWindow(10));
   ASSERT_TRUE(miner.ok());
   const auto feed = [&](int segments, bool with_new_letter) {
     for (int segment = 0; segment < segments; ++segment) {
@@ -184,14 +196,14 @@ TEST(StreamingMinerTest, WindowedDriftExpiresOldBehavior) {
   EXPECT_TRUE((*miner)->DriftedLetters().empty());
 }
 
-TEST(StreamingMinerTest, DriftWindowLargerThanHistoryDegeneratesToStream) {
+TEST(WholeHistoryTest, DriftWindowLargerThanHistoryDegeneratesToStream) {
   // While fewer than drift_window segments are committed, the horizon is
   // min(segments_committed, drift_window): an unseeded letter firing in
   // every early segment is reported immediately, not after drift_window
   // segments of warm-up.
   MiningOptions options = DefaultOptions();
   auto miner =
-      StreamingMiner::Create(options, {Letter{0, 0}}, /*drift_window=*/50);
+      ContinuousMiner::Create(options, {Letter{0, 0}}, DriftWindow(50));
   ASSERT_TRUE(miner.ok());
   EXPECT_TRUE((*miner)->DriftedLetters().empty());  // No segments yet.
   for (int segment = 0; segment < 3; ++segment) {
@@ -210,14 +222,14 @@ TEST(StreamingMinerTest, DriftWindowLargerThanHistoryDegeneratesToStream) {
   EXPECT_EQ(drifted[0].feature, 7u);
 }
 
-TEST(StreamingMinerTest, DriftWindowLargerThanHistoryMatchesWholeStream) {
+TEST(WholeHistoryTest, DriftWindowLargerThanHistoryMatchesWholeStream) {
   // Until the window fills, a huge-window miner and a whole-stream miner
   // must agree on drift exactly.
   MiningOptions options = DefaultOptions();
   auto windowed =
-      StreamingMiner::Create(options, {Letter{0, 0}}, /*drift_window=*/1000);
+      ContinuousMiner::Create(options, {Letter{0, 0}}, DriftWindow(1000));
   auto whole =
-      StreamingMiner::Create(options, {Letter{0, 0}}, /*drift_window=*/0);
+      ContinuousMiner::Create(options, {Letter{0, 0}}, DriftWindow(0));
   ASSERT_TRUE(windowed.ok());
   ASSERT_TRUE(whole.ok());
   Rng rng(31);
@@ -233,10 +245,10 @@ TEST(StreamingMinerTest, DriftWindowLargerThanHistoryMatchesWholeStream) {
   EXPECT_FALSE((*windowed)->DriftedLetters().empty());
 }
 
-TEST(StreamingMinerTest, SeededLetterCanDropBelowThreshold) {
+TEST(WholeHistoryTest, SeededLetterCanDropBelowThreshold) {
   MiningOptions options = DefaultOptions();
   options.min_confidence = 0.6;
-  auto miner = StreamingMiner::Create(options, {Letter{0, 0}, Letter{1, 1}});
+  auto miner = ContinuousMiner::Create(options, {Letter{0, 0}, Letter{1, 1}});
   ASSERT_TRUE(miner.ok());
   // Letter (1,1) fires in only 2 of 10 segments: must vanish from
   // snapshots even though it was seeded.
@@ -253,7 +265,7 @@ TEST(StreamingMinerTest, SeededLetterCanDropBelowThreshold) {
   EXPECT_EQ(snapshot.patterns()[0].count, 10u);
 }
 
-TEST(StreamingMinerTest, VerticalStoreGivesSameSnapshots) {
+TEST(WholeHistoryTest, VerticalStoreGivesSameSnapshots) {
   const TimeSeries series = MakeSeries(1200, 13);
   MiningOptions tree_options = DefaultOptions();
   tree_options.hit_store = HitStoreKind::kMaxSubpatternTree;
@@ -263,8 +275,9 @@ TEST(StreamingMinerTest, VerticalStoreGivesSameSnapshots) {
   TimeSeries prefix;
   prefix.symbols() = series.symbols();
   for (uint64_t t = 0; t < 400; ++t) prefix.Append(series.at(t));
-  auto tree_miner = StreamingMiner::SeedFromPrefix(tree_options, prefix);
-  auto vertical_miner = StreamingMiner::SeedFromPrefix(vertical_options, prefix);
+  auto tree_miner = ContinuousMiner::SeedFromPrefix(tree_options, prefix);
+  auto vertical_miner =
+      ContinuousMiner::SeedFromPrefix(vertical_options, prefix);
   ASSERT_TRUE(tree_miner.ok());
   ASSERT_TRUE(vertical_miner.ok());
   for (uint64_t t = 400; t < series.length(); ++t) {
@@ -275,19 +288,19 @@ TEST(StreamingMinerTest, VerticalStoreGivesSameSnapshots) {
             AsCountMap((*vertical_miner)->Snapshot(), series.symbols()));
 }
 
-TEST(StreamingMinerTest, CreateValidation) {
+TEST(WholeHistoryTest, CreateValidation) {
   MiningOptions options;
   options.period = 0;
-  EXPECT_FALSE(StreamingMiner::Create(options, {}).ok());
+  EXPECT_FALSE(ContinuousMiner::Create(options, {}).ok());
   options.period = 4;
   options.min_confidence = 2.0;
-  EXPECT_FALSE(StreamingMiner::Create(options, {}).ok());
+  EXPECT_FALSE(ContinuousMiner::Create(options, {}).ok());
   options.min_confidence = 0.5;
-  EXPECT_FALSE(StreamingMiner::Create(options, {Letter{9, 0}}).ok());
-  EXPECT_TRUE(StreamingMiner::Create(options, {Letter{3, 0}}).ok());
+  EXPECT_FALSE(ContinuousMiner::Create(options, {Letter{9, 0}}).ok());
+  EXPECT_TRUE(ContinuousMiner::Create(options, {Letter{3, 0}}).ok());
 }
 
-TEST(StreamingMinerTest, LongStreamStaysBounded) {
+TEST(WholeHistoryTest, LongStreamStaysBounded) {
   // The point of the streaming miner: state size depends on the letter
   // space and hit diversity, not on stream length.
   MiningOptions options = DefaultOptions();
@@ -295,7 +308,7 @@ TEST(StreamingMinerTest, LongStreamStaysBounded) {
   TimeSeries prefix;
   prefix.symbols() = series.symbols();
   for (uint64_t t = 0; t < 400; ++t) prefix.Append(series.at(t));
-  auto miner = StreamingMiner::SeedFromPrefix(options, prefix);
+  auto miner = ContinuousMiner::SeedFromPrefix(options, prefix);
   ASSERT_TRUE(miner.ok());
   for (uint64_t t = 400; t < series.length(); ++t) {
     (*miner)->Append(series.at(t));
