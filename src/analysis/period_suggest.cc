@@ -4,6 +4,8 @@
 #include <cmath>
 #include <map>
 
+#include "core/letter_counts.h"
+
 namespace ppm::analysis {
 
 namespace {
@@ -35,10 +37,10 @@ Result<std::vector<PeriodScore>> ComputePerFeature(
     return Status::InvalidArgument("empty series");
   }
 
-  // Overall per-feature densities (one pass).
-  std::map<tsdb::FeatureId, uint64_t> overall;
+  // Overall per-feature densities (one pass): the letters of period 1.
+  LetterCounts overall(1);
   for (const tsdb::FeatureSet& instant : series.instants()) {
-    instant.ForEach([&overall](uint32_t feature) { ++overall[feature]; });
+    overall.Add(0, instant);
   }
   const double length = static_cast<double>(series.length());
 
@@ -48,30 +50,28 @@ Result<std::vector<PeriodScore>> ComputePerFeature(
   for (uint32_t period = period_low; period <= period_high; ++period) {
     const uint64_t m = series.length() / period;
     if (m < 2) continue;
-    std::vector<std::map<tsdb::FeatureId, uint64_t>> counts(period);
+    LetterCounts counts(period);
     const uint64_t covered = m * period;
     for (uint64_t t = 0; t < covered; ++t) {
-      auto& position_counts = counts[t % period];
-      series.at(t).ForEach(
-          [&position_counts](uint32_t feature) { ++position_counts[feature]; });
+      counts.Add(static_cast<uint32_t>(t % period), series.at(t));
     }
     std::map<tsdb::FeatureId, PeriodScore> best_of_feature;
-    for (uint32_t position = 0; position < period; ++position) {
-      for (const auto& [feature, count] : counts[position]) {
-        const double confidence =
-            static_cast<double>(count) / static_cast<double>(m);
-        const double density = static_cast<double>(overall[feature]) / length;
-        const double concentration = confidence - density;
-        PeriodScore& best = best_of_feature[feature];
-        if (best.period == 0 || concentration > best.concentration) {
-          best.period = period;
-          best.concentration = concentration;
-          best.confidence = confidence;
-          best.position = position;
-          best.feature = feature;
-        }
+    counts.ForEachNonZero([&](const Letter& letter, uint64_t count) {
+      const double confidence =
+          static_cast<double>(count) / static_cast<double>(m);
+      const double density =
+          static_cast<double>(overall.count(Letter{0, letter.feature})) /
+          length;
+      const double concentration = confidence - density;
+      PeriodScore& best = best_of_feature[letter.feature];
+      if (best.period == 0 || concentration > best.concentration) {
+        best.period = period;
+        best.concentration = concentration;
+        best.confidence = confidence;
+        best.position = letter.position;
+        best.feature = letter.feature;
       }
-    }
+    });
     for (const auto& [feature, score] : best_of_feature) {
       if (score.concentration >= 0.0) entries.push_back(score);
     }

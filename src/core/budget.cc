@@ -91,6 +91,16 @@ Result<BudgetDecision> DecideHitStore(const MiningOptions& options,
                           : ""));
 }
 
+Status CheckLetterCountsBudget(const MiningOptions& options,
+                               uint64_t table_bytes) {
+  const uint64_t limit = options.memory_budget_bytes;
+  if (limit == 0 || table_bytes <= limit) return Status::OK();
+  obs::MetricsRegistry::Global().GetCounter("ppm.fault.budget_denials").Inc();
+  return Status::ResourceExhausted(
+      "scan 1 letter-count tables of up to " + std::to_string(table_bytes) +
+      " bytes exceed memory budget of " + std::to_string(limit) + " bytes");
+}
+
 Status HitStoreOverBudget(uint64_t bytes, uint64_t limit) {
   obs::MetricsRegistry::Global().GetCounter("ppm.fault.budget_denials").Inc();
   return Status::ResourceExhausted(

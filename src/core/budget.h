@@ -48,6 +48,14 @@ Result<BudgetDecision> DecideHitStore(const MiningOptions& options,
                                       uint32_t num_letters,
                                       uint64_t reserved_bytes = 0);
 
+/// Applies `options.memory_budget_bytes` to scan 1's letter-count tables
+/// before they are allocated. `table_bytes` bounds every table alive at
+/// once (`LetterCounts::BoundBytes` each); the tables are gone before the
+/// hit stores are built, so they are checked on their own. Returns
+/// `kResourceExhausted` and records a budget denial when they do not fit.
+Status CheckLetterCountsBudget(const MiningOptions& options,
+                               uint64_t table_bytes);
+
 /// Segments registered between the second scan's interrupt and live-budget
 /// polls.
 inline constexpr uint64_t kScanCheckStride = 1024;

@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "core/budget.h"
 #include "core/fault_metrics.h"
 #include "core/scan_accounting.h"
 #include "obs/metrics.h"
@@ -22,7 +23,7 @@ constexpr uint64_t kSegmentCheckStride = 1024;
 /// re-check the interrupt and discard partial tables.
 void CountSegments(const std::vector<tsdb::FeatureSet>& instants,
                    uint32_t period, uint64_t seg_begin, uint64_t seg_end,
-                   const Interrupt& interrupt, F1CountTable* counts) {
+                   const Interrupt& interrupt, LetterCounts* counts) {
   for (uint64_t segment = seg_begin; segment < seg_end; ++segment) {
     if ((segment - seg_begin) % kSegmentCheckStride == 0 &&
         interrupt.ShouldStop()) {
@@ -30,16 +31,14 @@ void CountSegments(const std::vector<tsdb::FeatureSet>& instants,
     }
     const uint64_t base = segment * period;
     for (uint32_t position = 0; position < period; ++position) {
-      auto& position_counts = (*counts)[position];
-      instants[base + position].ForEach(
-          [&position_counts](uint32_t feature) { ++position_counts[feature]; });
+      counts->Add(position, instants[base + position]);
     }
   }
 }
 
 }  // namespace
 
-F1ScanResult FinishF1(const F1CountTable& counts, const MiningOptions& options,
+F1ScanResult FinishF1(const LetterCounts& counts, const MiningOptions& options,
                       uint64_t num_periods) {
   F1ScanResult result;
   result.num_periods = num_periods;
@@ -48,17 +47,16 @@ F1ScanResult FinishF1(const F1CountTable& counts, const MiningOptions& options,
   std::vector<Letter> letters;
   std::vector<uint64_t> letter_counts;
   uint64_t letters_seen = 0;
-  for (uint32_t position = 0; position < options.period; ++position) {
-    letters_seen += counts[position].size();
-    for (const auto& [feature, count] : counts[position]) {
-      if (count < result.min_count) continue;
-      if (options.letter_filter && !options.letter_filter(position, feature)) {
-        continue;
-      }
-      letters.push_back(Letter{position, feature});
-      letter_counts.push_back(count);
+  counts.ForEachNonZero([&](const Letter& letter, uint64_t count) {
+    ++letters_seen;
+    if (count < result.min_count) return;
+    if (options.letter_filter &&
+        !options.letter_filter(letter.position, letter.feature)) {
+      return;
     }
-  }
+    letters.push_back(letter);
+    letter_counts.push_back(count);
+  });
   auto& registry = obs::MetricsRegistry::Global();
   registry.GetGauge("ppm.f1.letters_seen").Set(letters_seen);
   registry.GetGauge("ppm.f1.letters_frequent").Set(letters.size());
@@ -80,7 +78,7 @@ F1ScanResult BuildF1FromInstants(const std::vector<tsdb::FeatureSet>& instants,
   RecordDbPass("f1_scan", num_periods * options.period, num_periods);
 
   if (pool == nullptr || pool->size() <= 1 || num_periods <= 1) {
-    F1CountTable counts(options.period);
+    LetterCounts counts(options.period);
     CountSegments(instants, options.period, 0, num_periods, interrupt,
                   &counts);
     return FinishF1(counts, options, num_periods);
@@ -89,8 +87,8 @@ F1ScanResult BuildF1FromInstants(const std::vector<tsdb::FeatureSet>& instants,
   // Sharded count: one private table per chunk of whole segments, summed in
   // chunk order afterwards. Letter counts are additive over disjoint
   // segments, so the merged table equals the sequential one exactly.
-  std::vector<F1CountTable> shard_counts(pool->size());
-  for (F1CountTable& table : shard_counts) table.resize(options.period);
+  std::vector<LetterCounts> shard_counts(pool->size(),
+                                         LetterCounts(options.period));
   parallel::ShardTimings timings = parallel::ShardedRun(
       *pool, num_periods, "f1_scan",
       [&instants, &options, &shard_counts,
@@ -101,13 +99,9 @@ F1ScanResult BuildF1FromInstants(const std::vector<tsdb::FeatureSet>& instants,
       interrupt);
 
   obs::TraceSpan merge_span = obs::Tracer::Global().StartSpan("f1_scan.merge");
-  F1CountTable& merged = shard_counts[0];
+  LetterCounts& merged = shard_counts[0];
   for (uint32_t c = 1; c < shard_counts.size(); ++c) {
-    for (uint32_t position = 0; position < options.period; ++position) {
-      for (const auto& [feature, count] : shard_counts[c][position]) {
-        merged[position][feature] += count;
-      }
-    }
+    merged.Merge(shard_counts[c]);
   }
   merge_span.End();
   timings.merge_seconds = merge_span.ElapsedSeconds();
@@ -123,7 +117,13 @@ Result<F1ScanResult> ScanForF1(tsdb::SeriesSource& source,
 
   const uint32_t threads = ResolveThreadCount(options.num_threads);
   const uint64_t num_periods = source.length() / options.period;
-  if (threads > 1 && num_periods > 1) {
+  const bool sharded = threads > 1 && num_periods > 1;
+  // A sharded count holds one table per worker until they are summed.
+  PPM_RETURN_IF_ERROR(CheckLetterCountsBudget(
+      options, (sharded ? threads : 1) *
+                   LetterCounts::BoundBytes(options.period,
+                                            source.symbols().size())));
+  if (sharded) {
     PPM_ASSIGN_OR_RETURN(
         const std::vector<tsdb::FeatureSet> instants,
         parallel::MaterializePrefix(source, num_periods * options.period));
@@ -136,7 +136,7 @@ Result<F1ScanResult> ScanForF1(tsdb::SeriesSource& source,
   }
 
   const obs::TraceSpan span = obs::Tracer::Global().StartSpan("f1_scan");
-  F1CountTable counts(options.period);
+  LetterCounts counts(options.period);
 
   PPM_RETURN_IF_ERROR(source.StartScan());
   const uint64_t covered = num_periods * options.period;
@@ -146,9 +146,7 @@ Result<F1ScanResult> ScanForF1(tsdb::SeriesSource& source,
   uint64_t t = 0;
   while (t < covered && source.Next(&instant)) {
     if (t % check_stride == 0) PPM_RETURN_IF_INTERRUPTED_RECORDED(interrupt);
-    auto& position_counts = counts[t % options.period];
-    instant.ForEach(
-        [&position_counts](uint32_t feature) { ++position_counts[feature]; });
+    counts.Add(static_cast<uint32_t>(t % options.period), instant);
     ++t;
   }
   PPM_RETURN_IF_ERROR(source.status());

@@ -2,9 +2,9 @@
 #define PPM_CORE_F1_SCAN_H_
 
 #include <cstdint>
-#include <map>
 #include <vector>
 
+#include "core/letter_counts.h"
 #include "core/letter_space.h"
 #include "core/mining_options.h"
 #include "tsdb/series_source.h"
@@ -27,23 +27,20 @@ struct F1ScanResult {
   std::vector<uint64_t> letter_counts;
 };
 
-/// Per-position letter counts of one period: an ordered map per position
-/// keeps letters in canonical (feature ascending) order for free.
-using F1CountTable = std::vector<std::map<tsdb::FeatureId, uint64_t>>;
-
-/// Thresholds and filters a finished count table (one row per position of
+/// Thresholds and filters a finished count table (of period
 /// `options.period`, counted over `num_periods` whole segments) into an
 /// `F1ScanResult`. Records no database pass: the caller accounts for the
 /// scan that filled `counts`.
-F1ScanResult FinishF1(const F1CountTable& counts, const MiningOptions& options,
+F1ScanResult FinishF1(const LetterCounts& counts, const MiningOptions& options,
                       uint64_t num_periods);
 
 /// Scans `source` once, counting each (position, feature) letter over whole
 /// period segments, and keeps the letters whose count meets the threshold.
 ///
 /// Honors `options.letter_filter` (filtered letters are dropped regardless
-/// of count). Fails when `options` are invalid for the source length or on
-/// source I/O errors.
+/// of count). Fails when `options` are invalid for the source length, on
+/// source I/O errors, or with `kResourceExhausted` when the count tables'
+/// bound exceeds `options.memory_budget_bytes`.
 ///
 /// With `options.num_threads` resolving to more than one worker, the
 /// covered prefix is materialized (still one scan) and the counting is

@@ -1,14 +1,10 @@
 #include "core/maximal_miner.h"
 
-#include <memory>
 #include <unordered_map>
 #include <vector>
 
-#include "core/budget.h"
-#include "core/f1_scan.h"
 #include "core/fault_metrics.h"
-#include "core/hit_store.h"
-#include "core/scan_accounting.h"
+#include "core/hitset_miner.h"
 #include "util/cancellation.h"
 #include "util/stopwatch.h"
 
@@ -132,41 +128,14 @@ Result<MiningResult> MineMaximalHitSet(tsdb::SeriesSource& source,
   const uint64_t scans_before = source.stats().scans;
   const uint64_t instants_before = source.stats().instants_read;
 
-  const Interrupt interrupt = options.interrupt();
-  PPM_ASSIGN_OR_RETURN(F1ScanResult f1, ScanForF1(source, options));
+  PPM_ASSIGN_OR_RETURN(const HitSetScans scans, ScanHitSet(source, options));
+  const F1ScanResult& f1 = scans.f1;
+  const HitStore& store = *scans.store;
   result.stats().num_f1_letters = f1.space.size();
   result.stats().num_periods = f1.num_periods;
 
-  PPM_ASSIGN_OR_RETURN(
-      const BudgetDecision budgeted,
-      DecideHitStore(options, f1.num_periods, f1.space.size()));
-  std::unique_ptr<HitStore> store =
-      MakeHitStore(budgeted.store, f1.space.full_mask(), f1.space.size());
-
-  PPM_RETURN_IF_ERROR(source.StartScan());
-  const uint32_t period = options.period;
-  const uint64_t covered = f1.num_periods * period;
-  const uint64_t check_stride = uint64_t{1024} * period;
-  Bitset segment_mask(f1.space.size());
-  tsdb::FeatureSet instant;
-  uint64_t t = 0;
-  while (t < covered && source.Next(&instant)) {
-    const uint32_t position = static_cast<uint32_t>(t % period);
-    if (t % check_stride == 0) PPM_RETURN_IF_INTERRUPTED_RECORDED(interrupt);
-    if (position == 0) segment_mask.Reset();
-    f1.space.AccumulatePosition(position, instant, &segment_mask);
-    if (position == period - 1 && segment_mask.Count() >= 2) {
-      store->AddHit(segment_mask);
-    }
-    ++t;
-  }
-  PPM_RETURN_IF_ERROR(source.status());
-  if (t < covered) {
-    return Status::Internal("source ended before its declared length");
-  }
-  RecordDbPass("second_scan", covered, f1.num_periods);
-
-  MaximalSearch search(f1, *store, options.max_letters, interrupt);
+  const Interrupt interrupt = options.interrupt();
+  MaximalSearch search(f1, store, options.max_letters, interrupt);
   auto maximal = search.Run();
   // The search unwinds quietly on interruption; discard the partial
   // antichain rather than present it as the maximal set.
@@ -182,10 +151,10 @@ Result<MiningResult> MineMaximalHitSet(tsdb::SeriesSource& source,
 
   result.Canonicalize();
   result.stats().candidates_evaluated = search.oracle_calls();
-  result.stats().hit_store_entries = store->num_entries();
+  result.stats().hit_store_entries = store.num_entries();
   result.stats().tree_nodes =
-      budgeted.store == HitStoreKind::kMaxSubpatternTree ? store->num_units()
-                                                         : 0;
+      scans.store_kind == HitStoreKind::kMaxSubpatternTree ? store.num_units()
+                                                           : 0;
   result.stats().scans = source.stats().scans - scans_before;
   result.stats().instants_read = source.stats().instants_read - instants_before;
   result.stats().elapsed_seconds = stopwatch.ElapsedSeconds();

@@ -9,6 +9,7 @@
 #include "core/fault_metrics.h"
 #include "core/hit_store.h"
 #include "core/hitset_miner.h"
+#include "core/letter_counts.h"
 #include "core/scan_accounting.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -57,11 +58,11 @@ Result<std::vector<F1ScanResult>> SharedScanForF1(
     const Interrupt& interrupt) {
   const obs::TraceSpan span = obs::Tracer::Global().StartSpan("shared_scan1");
   const size_t num_ranges = per_period.size();
-  std::vector<F1CountTable> counts(num_ranges);
+  std::vector<LetterCounts> counts;
   std::vector<uint64_t> covered(num_ranges);
   for (size_t r = 0; r < num_ranges; ++r) {
     const uint32_t period = per_period[r].period;
-    counts[r].resize(period);
+    counts.emplace_back(period);
     covered[r] = (source.length() / period) * period;
   }
 
@@ -74,9 +75,7 @@ Result<std::vector<F1ScanResult>> SharedScanForF1(
     }
     for (size_t r = 0; r < num_ranges; ++r) {
       if (t >= covered[r]) continue;
-      auto& position_counts = counts[r][t % per_period[r].period];
-      instant.ForEach(
-          [&position_counts](uint32_t feature) { ++position_counts[feature]; });
+      counts[r].Add(static_cast<uint32_t>(t % per_period[r].period), instant);
     }
     ++t;
   }
@@ -186,6 +185,15 @@ Result<MultiPeriodResult> MineMultiPeriodShared(tsdb::SeriesSource& source,
   PPM_RETURN_IF_INTERRUPTED_RECORDED(interrupt);
   const uint64_t scans_before = source.stats().scans;
   const size_t num_ranges = per_period.size();
+
+  // Scan 1 may hold every period's letter-count table at once: budget them
+  // all before any is allocated.
+  uint64_t table_bytes = 0;
+  for (const MiningOptions& one : per_period) {
+    table_bytes +=
+        LetterCounts::BoundBytes(one.period, source.symbols().size());
+  }
+  PPM_RETURN_IF_ERROR(CheckLetterCountsBudget(options, table_bytes));
 
   // `num_threads` only chooses how the series is walked: streamed twice in
   // total, or materialized once and sharded (docs/PARALLELISM.md).

@@ -1,12 +1,12 @@
 #include "dist/merger.h"
 
-#include <map>
 #include <memory>
 #include <utility>
 
 #include "core/derivation.h"
 #include "core/f1_scan.h"
 #include "core/hit_store.h"
+#include "core/letter_counts.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -52,27 +52,14 @@ Result<MergedInput> MergeOneInput(const ShardPlan& plan, uint32_t input_index,
     return Status::Corruption("input '" + input.path +
                               "' has no merged shard");
   }
-  std::map<Letter, uint64_t> letter_totals;
+  LetterCounts letter_totals(plan.period);
   for (const ShardResult* result : results) {
     for (const LetterCount& entry : result->letter_counts) {
-      letter_totals[entry.letter] += entry.count;
+      letter_totals.Add(entry.letter, entry.count);
     }
   }
-  const MiningOptions options = plan.ToMiningOptions();
-  const uint64_t min_count = options.EffectiveMinCount(covered);
-  F1ScanResult f1;
-  f1.num_periods = covered;
-  f1.min_count = min_count;
-  std::vector<Letter> frequent;
-  std::vector<uint64_t> counts;
-  for (const auto& [letter, count] : letter_totals) {
-    if (count >= min_count) {
-      frequent.push_back(letter);
-      counts.push_back(count);
-    }
-  }
-  f1.space = LetterSpace(plan.period, std::move(frequent));
-  f1.letter_counts = std::move(counts);
+  const F1ScanResult f1 =
+      FinishF1(letter_totals, plan.ToMiningOptions(), covered);
 
   MiningResult& result = merged.result;
   result.stats().num_f1_letters = f1.space.size();

@@ -4,6 +4,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/letter_counts.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -39,26 +40,27 @@ Result<ShardResult> MineShardCounts(const tsdb::TimeSeries& series,
   result.segment_end = spec.segment_end;
   result.symbols = series.symbols().names();
 
-  // One pass over the range. Ordered maps give the canonical ordering
-  // the result format requires for free; per-shard cardinalities are
-  // the same order as |F1| and |H|, so the log factor is noise next to
-  // the scan itself.
-  std::map<Letter, uint64_t> letter_counts;
-  std::map<std::vector<Letter>, uint64_t> hits;
+  // One pass over the range. `LetterCounts` and the ordered map both
+  // iterate in the canonical ordering the result format requires; the
+  // number of distinct hits is the same order as |H|, so the map's log
+  // factor is noise next to the scan itself.
   const uint32_t period = plan.period;
+  LetterCounts letter_counts(period);
+  std::map<std::vector<Letter>, uint64_t> hits;
   std::vector<Letter> segment_letters;
   for (uint64_t segment = spec.segment_begin; segment < spec.segment_end;
        ++segment) {
     segment_letters.clear();
     const uint64_t base = segment * period;
     for (uint32_t position = 0; position < period; ++position) {
-      series.at(base + position).ForEach([&](uint32_t feature) {
+      const tsdb::FeatureSet& instant = series.at(base + position);
+      letter_counts.Add(position, instant);
+      instant.ForEach([&](uint32_t feature) {
         // Ascending feature order within ascending positions: the
         // letter list is born canonically sorted.
         segment_letters.push_back(Letter{position, feature});
       });
     }
-    for (const Letter& letter : segment_letters) ++letter_counts[letter];
     if (!segment_letters.empty()) ++hits[segment_letters];
     segments_counter.Inc();
     if (on_segment != nullptr) {
@@ -66,10 +68,9 @@ Result<ShardResult> MineShardCounts(const tsdb::TimeSeries& series,
     }
   }
 
-  result.letter_counts.reserve(letter_counts.size());
-  for (const auto& [letter, count] : letter_counts) {
+  letter_counts.ForEachNonZero([&result](const Letter& letter, uint64_t count) {
     result.letter_counts.push_back(LetterCount{letter, count});
-  }
+  });
   result.hits.reserve(hits.size());
   for (auto& [letters, count] : hits) {
     result.hits.push_back(RawHit{letters, count});

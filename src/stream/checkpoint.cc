@@ -1,6 +1,7 @@
 #include "stream/checkpoint.h"
 
 #include <cmath>
+#include <string>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -22,6 +23,29 @@ using bytes::PutU64;
 constexpr uint32_t kMaxSymbols = 1u << 24;
 constexpr uint32_t kMaxSymbolNameBytes = 1u << 20;
 constexpr uint32_t kMaxLetters = 1u << 24;
+
+/// Every letter of `data` must name a feature of its own symbol table. The
+/// drift counts are dense over feature ids, so an id past the table is
+/// corruption, never a reason to allocate.
+Status CheckFeatureIds(const CheckpointData& data) {
+  const ContinuousMinerState& state = data.state;
+  bool in_table = true;
+  const auto check = [&](tsdb::FeatureId feature) {
+    in_table = in_table && feature < data.symbols.size();
+  };
+  for (const Letter& letter : state.letters) check(letter.feature);
+  for (const auto& row : state.other_counts) {
+    for (const auto& [feature, count] : row) check(feature);
+  }
+  for (const std::vector<Letter>& segment : state.window_history) {
+    for (const Letter& letter : segment) check(letter.feature);
+  }
+  for (const Letter& letter : state.pending_other) check(letter.feature);
+  if (in_table) return Status::OK();
+  return Status::Corruption("checkpoint: a letter names a feature beyond its " +
+                            std::to_string(data.symbols.size()) +
+                            "-symbol table");
+}
 
 std::string EncodeState(const CheckpointData& data) {
   const ContinuousMinerState& state = data.state;
@@ -267,6 +291,7 @@ Result<CheckpointData> DecodeState(std::string_view block) {
   }
 
   if (!cursor.exhausted()) return corrupt("trailing bytes in state block");
+  PPM_RETURN_IF_ERROR(CheckFeatureIds(data));
   return data;
 }
 
@@ -363,6 +388,7 @@ Result<CheckpointData> ReadCheckpoint(const std::string& path) {
 Result<std::unique_ptr<ContinuousMiner>> RestoreContinuousMiner(
     const CheckpointData& data, const MiningOptions& runtime,
     uint32_t compact_every) {
+  PPM_RETURN_IF_ERROR(CheckFeatureIds(data));
   MiningOptions options = runtime;
   options.period = data.period;
   options.min_confidence = data.min_confidence;

@@ -52,11 +52,9 @@ ContinuousMinerState ContinuousMiner::ExportState() const {
   state.letters = space_.letters();
   state.seeded_counts = seeded_counts_;
   state.other_counts.resize(options_.period);
-  for (uint32_t position = 0; position < options_.period; ++position) {
-    auto& row = state.other_counts[position];
-    row.assign(other_counts_[position].begin(), other_counts_[position].end());
-    std::sort(row.begin(), row.end());
-  }
+  other_counts_.ForEachNonZero([&state](const Letter& letter, uint64_t count) {
+    state.other_counts[letter.position].emplace_back(letter.feature, count);
+  });
   state.window_history.assign(window_history_.begin(), window_history_.end());
   state.pending_other = pending_other_;
   state.segment_mask = segment_mask_.ToVector();
@@ -128,6 +126,7 @@ Result<std::unique_ptr<ContinuousMiner>> ContinuousMiner::Restore(
       state.drift_window > 0
           ? std::min<uint64_t>(state.segments_committed, state.drift_window)
           : state.segments_committed;
+  LetterCounts other_counts(period);
   for (uint32_t position = 0; position < period; ++position) {
     const auto& row = state.other_counts[position];
     for (size_t i = 0; i < row.size(); ++i) {
@@ -141,6 +140,7 @@ Result<std::unique_ptr<ContinuousMiner>> ContinuousMiner::Restore(
       if (space.IndexOf(position, row[i].first) != Bitset::kNoBit) {
         return corrupt("seeded letter in other counts");
       }
+      other_counts.Add(Letter{position, row[i].first}, row[i].second);
     }
   }
   if (state.drift_window == 0) {
@@ -153,7 +153,7 @@ Result<std::unique_ptr<ContinuousMiner>> ContinuousMiner::Restore(
       return corrupt("window history size mismatch");
     }
     // The windowed other-counts must be exactly the sum of the history.
-    std::vector<std::map<tsdb::FeatureId, uint64_t>> recomputed(period);
+    LetterCounts recomputed(period);
     for (const std::vector<Letter>& segment : state.window_history) {
       for (const Letter& letter : segment) {
         if (letter.position >= period) {
@@ -162,20 +162,11 @@ Result<std::unique_ptr<ContinuousMiner>> ContinuousMiner::Restore(
         if (space.IndexOf(letter.position, letter.feature) != Bitset::kNoBit) {
           return corrupt("seeded letter in window history");
         }
-        ++recomputed[letter.position][letter.feature];
+        recomputed.Add(letter, 1);
       }
     }
-    for (uint32_t position = 0; position < period; ++position) {
-      const auto& row = state.other_counts[position];
-      if (recomputed[position].size() != row.size()) {
-        return corrupt("window history disagrees with other counts");
-      }
-      for (const auto& [feature, count] : row) {
-        const auto it = recomputed[position].find(feature);
-        if (it == recomputed[position].end() || it->second != count) {
-          return corrupt("window history disagrees with other counts");
-        }
-      }
+    if (recomputed != other_counts) {
+      return corrupt("window history disagrees with other counts");
     }
   }
   for (const Letter& letter : state.pending_other) {
@@ -256,11 +247,7 @@ Result<std::unique_ptr<ContinuousMiner>> ContinuousMiner::Restore(
   }
 
   miner->seeded_counts_ = state.seeded_counts;
-  for (uint32_t position = 0; position < period; ++position) {
-    for (const auto& [feature, count] : state.other_counts[position]) {
-      miner->other_counts_[position][feature] = count;
-    }
-  }
+  miner->other_counts_ = std::move(other_counts);
   miner->window_history_.assign(state.window_history.begin(),
                                 state.window_history.end());
   miner->window_masks_.assign(state.window_masks.begin(),
@@ -332,17 +319,13 @@ void ContinuousMiner::CommitSegment() {
   segment_mask_.ForEach(
       [this](uint32_t letter) { ++seeded_counts_[letter]; });
   if (segment_mask_.Count() >= 2) store_->AddHit(segment_mask_);
-  for (const Letter& letter : pending_other_) {
-    ++other_counts_[letter.position][letter.feature];
-  }
+  for (const Letter& letter : pending_other_) other_counts_.Add(letter, 1);
   if (drift_window_ > 0) {
     window_history_.push_back(pending_other_);
     if (window_history_.size() > drift_window_) {
       // Expire the oldest segment's contribution to the drift counts.
       for (const Letter& letter : window_history_.front()) {
-        auto& counts = other_counts_[letter.position];
-        const auto it = counts.find(letter.feature);
-        if (it != counts.end() && --it->second == 0) counts.erase(it);
+        other_counts_.Remove(letter, 1);
       }
       window_history_.pop_front();
     }
@@ -395,9 +378,7 @@ void ContinuousMiner::Compact() {
 uint64_t ContinuousMiner::ApproxMemoryBytes() const {
   uint64_t total = sizeof(ContinuousMiner) + store_->ApproxMemoryBytes();
   total += seeded_counts_.capacity() * sizeof(uint64_t);
-  for (const auto& counts : other_counts_) {
-    total += counts.size() * 32;  // Node + key/value overhead per entry.
-  }
+  total += other_counts_.ApproxMemoryBytes();
   for (const auto& segment : window_history_) {
     total += segment.capacity() * sizeof(Letter);
   }
@@ -453,11 +434,9 @@ std::vector<Letter> ContinuousMiner::DriftedLetters() const {
           ? std::min<uint64_t>(segments_committed_, drift_window_)
           : segments_committed_;
   const uint64_t min_count = options_.EffectiveMinCount(horizon);
-  for (uint32_t position = 0; position < options_.period; ++position) {
-    for (const auto& [feature, count] : other_counts_[position]) {
-      if (count >= min_count) drifted.push_back(Letter{position, feature});
-    }
-  }
+  other_counts_.ForEachNonZero([&](const Letter& letter, uint64_t count) {
+    if (count >= min_count) drifted.push_back(letter);
+  });
   return drifted;
 }
 

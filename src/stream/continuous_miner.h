@@ -4,12 +4,12 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "core/f1_scan.h"
 #include "core/hit_store.h"
+#include "core/letter_counts.h"
 #include "core/letter_space.h"
 #include "core/mining_options.h"
 #include "core/mining_result.h"
@@ -132,7 +132,10 @@ class ContinuousMiner {
   /// reproduce the seeded counts and the hit multiset -- and any violation
   /// is `kCorruption`: a restored miner is either exactly equivalent to the
   /// exporter or an error, never silently wrong. `compact_every` is the
-  /// runtime compaction cadence (not part of the state).
+  /// runtime compaction cadence (not part of the state). The state names no
+  /// symbol table, so feature ids are the caller's to bound: the drift
+  /// counts are dense over them, and `RestoreContinuousMiner` rejects ids
+  /// past the checkpoint's own table.
   static Result<std::unique_ptr<ContinuousMiner>> Restore(
       const MiningOptions& options, const ContinuousMinerState& state,
       uint32_t compact_every = 0);
@@ -152,6 +155,7 @@ class ContinuousMiner {
   /// Unseeded letters whose exact count meets the frequency threshold over
   /// the drift horizon: non-empty means the seeded space is stale and
   /// pattern results may be missing combinations involving these letters.
+  /// In canonical (position, feature) order.
   std::vector<Letter> DriftedLetters() const;
 
   /// Rebuilds the hit store from its live (nonzero) hits, dropping the
@@ -208,7 +212,7 @@ class ContinuousMiner {
   // letter) and for every other observed (position, feature) pair over the
   // drift horizon.
   std::vector<uint64_t> seeded_counts_;
-  std::vector<std::unordered_map<tsdb::FeatureId, uint64_t>> other_counts_;
+  LetterCounts other_counts_;
   // With a finite drift window: the unseeded letters of each of the last
   // `drift_window_` committed segments (drift eviction).
   std::deque<std::vector<Letter>> window_history_;

@@ -121,6 +121,18 @@ class Bitset {
     }
   }
 
+  /// Index of the highest set bit, or `kNoBit` when empty.
+  uint32_t FindLast() const {
+    for (size_t word = words_.size(); word > 0; --word) {
+      const uint64_t w = words_[word - 1];
+      if (w != 0) {
+        return static_cast<uint32_t>((word - 1) * 64 + 63 -
+                                     __builtin_clzll(w));
+      }
+    }
+    return kNoBit;
+  }
+
   /// Invokes `fn(index)` for every set bit, in increasing order.
   template <typename Fn>
   void ForEach(Fn&& fn) const {

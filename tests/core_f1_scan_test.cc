@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "obs/metrics.h"
 #include "tsdb/series_source.h"
 
 namespace ppm {
@@ -111,6 +116,56 @@ TEST(F1ScanTest, LetterFilterDropsLetters) {
   EXPECT_EQ(f1->space.size(), 2u);  // Only 'a' at both positions.
   for (uint32_t i = 0; i < f1->space.size(); ++i) {
     EXPECT_NE(f1->space.letter(i).feature, b);
+  }
+}
+
+TEST(F1ScanTest, WideAlphabetWithLetterFilterMatchesHandCounts) {
+  // 100 symbols, so feature sets and count rows span two 64-id words.
+  TimeSeries series;
+  for (int id = 0; id < 100; ++id) {
+    series.symbols().Intern(std::to_string(id));
+  }
+  // Period 3, six whole segments and one tail instant.
+  for (uint32_t segment = 0; segment < 6; ++segment) {
+    tsdb::FeatureSet first;
+    tsdb::FeatureSet second;
+    tsdb::FeatureSet third;
+    if (segment < 4) first.Set(64);   // (0,64): 4 segments.
+    if (segment < 2) first.Set(63);   // (0,63): 2, below the threshold.
+    if (segment < 3) second.Set(5);   // (1,5): 3.
+    if (segment < 5) second.Set(70);  // (1,70): 5.
+    third.Set(99);                    // (2,99): 6, but filtered out.
+    series.Append(std::move(first));
+    series.Append(std::move(second));
+    series.Append(std::move(third));
+  }
+  tsdb::FeatureSet tail;
+  tail.Set(99);  // Past the last whole segment: never counted.
+  series.Append(std::move(tail));
+
+  MiningOptions options;
+  options.period = 3;
+  options.min_confidence = 0.5;  // min_count = 3 of 6.
+  options.letter_filter = [](uint32_t, tsdb::FeatureId feature) {
+    return feature != 99;
+  };
+  for (const uint32_t threads : {1u, 3u}) {
+    options.num_threads = threads;
+    InMemorySeriesSource source(&series);
+    const auto f1 = ScanForF1(source, options);
+    ASSERT_TRUE(f1.ok()) << f1.status();
+    EXPECT_EQ(f1->num_periods, 6u);
+    EXPECT_EQ(f1->min_count, 3u);
+    EXPECT_EQ(f1->space.letters(),
+              (std::vector<Letter>{{0, 64}, {1, 5}, {1, 70}}))
+        << "threads=" << threads;
+    EXPECT_EQ(f1->letter_counts, (std::vector<uint64_t>{4, 3, 5}))
+        << "threads=" << threads;
+    // Seen letters include the infrequent and the filtered ones.
+    EXPECT_EQ(obs::MetricsRegistry::Global()
+                  .GetGauge("ppm.f1.letters_seen")
+                  .value(),
+              5u);
   }
 }
 

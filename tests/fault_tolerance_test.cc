@@ -11,6 +11,7 @@
 #include "core/budget.h"
 #include "core/f1_scan.h"
 #include "core/hit_store.h"
+#include "core/letter_counts.h"
 #include "core/maximal_miner.h"
 #include "core/miner.h"
 #include "core/multi_period.h"
@@ -283,6 +284,69 @@ TEST(BudgetTest, SharedMultiPeriodBudgetsAllPeriodsTogether) {
     const auto fits = MineMultiPeriodShared(fits_source, 8, 12, options);
     EXPECT_TRUE(fits.ok()) << "threads=" << threads << ": "
                            << fits.status().ToString();
+  }
+}
+
+TEST(BudgetTest, SharedScanOneTablesAreBudgetedBeforeAllocation) {
+  // A 512-symbol alphabet over periods 20..60: the shared scan 1 would hold
+  // 41 dense letter-count tables at once, far more than the hit stores.
+  synth::GeneratorOptions generator;
+  generator.length = 6000;
+  generator.period = 10;
+  generator.max_pat_length = 4;
+  generator.num_f1 = 6;
+  generator.num_features = 512;
+  generator.seed = 3;
+  auto generated = synth::GenerateSeries(generator);
+  ASSERT_TRUE(generated.ok()) << generated.status().ToString();
+  const tsdb::TimeSeries& series = generated->series;
+  const uint64_t num_symbols = series.symbols().size();
+  ASSERT_EQ(num_symbols, 512u);
+
+  MiningOptions options;
+  options.min_confidence = 0.3;
+  options.budget_policy = BudgetPolicy::kFail;
+  uint64_t stores = 0;
+  uint64_t tables = 0;
+  uint64_t largest_table = 0;
+  for (uint32_t period = 20; period <= 60; ++period) {
+    MiningOptions single = options;
+    single.period = period;
+    tsdb::InMemorySeriesSource source(&series);
+    const auto f1 = ScanForF1(source, single);
+    ASSERT_TRUE(f1.ok()) << f1.status().ToString();
+    stores += PredictHitStoreBytes(
+        options.hit_store, HitSetUpperBound(f1->num_periods, f1->space.size()),
+        f1->space.size());
+    const uint64_t table = LetterCounts::BoundBytes(period, num_symbols);
+    tables += table;
+    largest_table = std::max(largest_table, table);
+  }
+  // Every predicted store fits together, and so does any one table; all
+  // the tables at once do not.
+  options.memory_budget_bytes = std::max(stores, largest_table);
+  ASSERT_LT(options.memory_budget_bytes, tables);
+
+  MiningOptions one_period = options;
+  one_period.period = 60;
+  tsdb::InMemorySeriesSource one_source(&series);
+  const auto one_table = ScanForF1(one_source, one_period);
+  EXPECT_TRUE(one_table.ok()) << one_table.status().ToString();
+
+  for (const uint32_t threads : {1u, 4u}) {
+    options.num_threads = threads;
+    tsdb::InMemorySeriesSource source(&series);
+    const uint64_t before = CounterValue("ppm.fault.budget_denials");
+    const auto denied = MineMultiPeriodShared(source, 20, 60, options);
+    ASSERT_FALSE(denied.ok()) << "threads=" << threads;
+    EXPECT_EQ(denied.status().code(), StatusCode::kResourceExhausted)
+        << "threads=" << threads << ": " << denied.status().ToString();
+    EXPECT_NE(denied.status().ToString().find("letter-count tables"),
+              std::string::npos)
+        << denied.status().ToString();
+    EXPECT_GT(CounterValue("ppm.fault.budget_denials"), before);
+    // Refused before the series was read.
+    EXPECT_EQ(source.stats().scans, 0u) << "threads=" << threads;
   }
 }
 

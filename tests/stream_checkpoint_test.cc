@@ -25,6 +25,8 @@
 #include "tsdb/fault_injection.h"
 #include "tsdb/series_source.h"
 #include "tsdb/wal.h"
+#include "util/bytes.h"
+#include "util/frame.h"
 #include "util/random.h"
 
 namespace ppm::stream {
@@ -414,6 +416,45 @@ TEST_F(CheckpointDirTest, VersionOneCheckpointRestoresAsWholeHistory) {
     EXPECT_EQ(snapshot.ToString(series.symbols()),
               batch->ToString(series.symbols()));
   }
+}
+
+// The drift counts are dense over feature ids, so every letter a checkpoint
+// names must be an id of its own symbol table. `VersionOneCheckpoint()`'s
+// state block carries the other count (1,c) at byte 132 and the pending
+// letter (0,bb) at byte 168 of its 3-symbol table.
+TEST_F(CheckpointDirTest, FeatureIdsBeyondTheSymbolTableAreCorruption) {
+  const std::string body = VersionOneCheckpoint().substr(20);
+  const auto feature_at = [&body](size_t offset, uint32_t feature) {
+    std::string id;
+    bytes::PutU32(&id, feature);
+    std::string tampered = body;
+    tampered.replace(offset, 4, id);
+    return tampered;
+  };
+  ASSERT_EQ(feature_at(132, 1), body);  // (1,c): c is id 1.
+  ASSERT_EQ(feature_at(168, 2), body);  // (0,bb): bb is id 2.
+
+  for (const auto& [offset, feature] :
+       std::vector<std::pair<size_t, uint32_t>>{{132, 4000000000u},
+                                                {132, 3},
+                                                {168, 3}}) {
+    WriteBytes(CheckpointPath(dir_),
+               frame::EncodeFile(kCheckpointMagic, feature_at(offset, feature)));
+    const auto data = ReadCheckpoint(CheckpointPath(dir_));
+    ASSERT_FALSE(data.ok()) << "byte " << offset << " = " << feature;
+    EXPECT_EQ(data.status().code(), StatusCode::kCorruption)
+        << data.status();
+  }
+
+  // Data built in memory, without the codec, is held to the same rule.
+  WriteBytes(CheckpointPath(dir_), VersionOneCheckpoint());
+  auto data = ReadCheckpoint(CheckpointPath(dir_));
+  ASSERT_TRUE(data.ok()) << data.status();
+  ASSERT_EQ(data->state.other_counts[1].size(), 1u);
+  data->state.other_counts[1][0].first = 4000000000u;
+  const auto restored = RestoreContinuousMiner(*data, MiningOptions());
+  ASSERT_FALSE(restored.ok());
+  EXPECT_EQ(restored.status().code(), StatusCode::kCorruption);
 }
 
 TEST_F(CheckpointDirTest, KillPointMatrixRecoversDeterministically) {

@@ -117,6 +117,19 @@ TEST(BitsetTest, FindNextAndForEachAscending) {
   EXPECT_EQ(bits.ToVector(), expected);
 }
 
+TEST(BitsetTest, FindLastSkipsClearedHighWords) {
+  Bitset bits(256);
+  EXPECT_EQ(bits.FindLast(), Bitset::kNoBit);
+  bits.Set(0);
+  EXPECT_EQ(bits.FindLast(), 0u);
+  bits.Set(63);
+  bits.Set(64);
+  EXPECT_EQ(bits.FindLast(), 64u);
+  bits.Set(200);
+  bits.Clear(200);  // Capacity stays, the highest bit does not.
+  EXPECT_EQ(bits.FindLast(), 64u);
+}
+
 TEST(BitsetTest, ResetClearsEverything) {
   Bitset bits;
   bits.Set(10);
