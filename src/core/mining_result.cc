@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <utility>
 
 #include "obs/json_writer.h"
 
@@ -31,13 +32,25 @@ const FrequentPattern* MiningResult::Find(const Pattern& pattern) const {
 }
 
 void MiningResult::Canonicalize() {
-  std::sort(patterns_.begin(), patterns_.end(),
-            [](const FrequentPattern& a, const FrequentPattern& b) {
-              const uint32_t la = a.pattern.LetterCount();
-              const uint32_t lb = b.pattern.LetterCount();
-              if (la != lb) return la < lb;
-              return a.pattern < b.pattern;
+  // Each letter count is computed once, not once per comparison: sort
+  // (count, index) keys, then move the patterns into place.
+  std::vector<std::pair<uint32_t, uint32_t>> keys;
+  keys.reserve(patterns_.size());
+  for (uint32_t i = 0; i < patterns_.size(); ++i) {
+    keys.emplace_back(patterns_[i].pattern.LetterCount(), i);
+  }
+  std::sort(keys.begin(), keys.end(),
+            [this](const std::pair<uint32_t, uint32_t>& a,
+                   const std::pair<uint32_t, uint32_t>& b) {
+              if (a.first != b.first) return a.first < b.first;
+              return patterns_[a.second].pattern < patterns_[b.second].pattern;
             });
+  std::vector<FrequentPattern> sorted;
+  sorted.reserve(patterns_.size());
+  for (const auto& key : keys) {
+    sorted.push_back(std::move(patterns_[key.second]));
+  }
+  patterns_ = std::move(sorted);
 }
 
 std::string MiningResult::ToString(const tsdb::SymbolTable& symbols) const {

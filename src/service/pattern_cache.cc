@@ -3,6 +3,8 @@
 #include <cstdio>
 #include <utility>
 
+#include "service/wire.h"
+
 namespace ppm::service {
 
 PatternCache::PatternCache(SeriesStore* store, uint64_t memory_budget_bytes)
@@ -36,16 +38,35 @@ std::string PatternCache::EncodeKey(const Request& request) const {
 
 std::shared_ptr<PatternCache::Entry> PatternCache::GetOrCreate(
     const Request& request) {
-  const std::string key = EncodeKey(request);
+  std::string key = EncodeKey(request);
   std::lock_guard<std::mutex> lock(map_mu_);
   auto it = entries_.find(key);
   if (it != entries_.end()) return it->second;
   auto entry = std::make_shared<Entry>();
+  entry->key = key;
   entry->series = request.series;
-  entries_.emplace(key, entry);
+  entries_.emplace(std::move(key), entry);
   entries_gauge_.Set(entries_.size());
   return entry;
 }
+
+namespace {
+
+std::shared_ptr<const PatternCache::Memo> MakeMemo(
+    MiningResult result, const tsdb::SymbolTable& symbols, uint32_t period,
+    uint64_t version, uint64_t length) {
+  auto memo = std::make_shared<PatternCache::Memo>();
+  memo->result = std::move(result);
+  memo->symbols = symbols;
+  memo->version = version;
+  memo->length = length;
+  wire::PutResultSection(&memo->section, memo->result.stats().num_periods,
+                         period, symbols.names(),
+                         wire::ToWirePatterns(memo->result));
+  return memo;
+}
+
+}  // namespace
 
 Result<PatternCache::Response> PatternCache::Serve(const Request& request) {
   PPM_ASSIGN_OR_RETURN(const auto current,
@@ -58,33 +79,20 @@ Result<PatternCache::Response> PatternCache::Serve(const Request& request) {
   if (!request.force_rebuild) {
     std::lock_guard<std::mutex> lock(entry->mu);
     entry->last_used = tick;
-    if (entry->memo_valid && entry->memo_version == now_version) {
+    if (entry->memo != nullptr && entry->memo->version == now_version) {
       hits_.Inc();
-      Response response;
-      response.result = entry->memo;
-      response.symbols = entry->symbols;
-      response.outcome = Outcome::kHit;
-      response.version = now_version;
-      response.length = now_length;
-      return response;
+      return Response(entry->memo, Outcome::kHit);
     }
     if (entry->miner != nullptr && entry->miner_in_sync &&
         entry->fed_version == now_version &&
         entry->miner->DriftedLetters().empty()) {
       // The resident miner absorbed every append and no unseeded letter
       // went frequent: one O(hit store) derivation refreshes the memo.
-      entry->memo = entry->miner->Snapshot();
-      entry->memo_valid = true;
-      entry->memo_version = now_version;
-      entry->memo_length = now_length;
+      entry->memo = MakeMemo(entry->miner->Snapshot(), entry->symbols,
+                             request.options.period, now_version, now_length);
+      Charge(entry);
       refreshes_.Inc();
-      Response response;
-      response.result = entry->memo;
-      response.symbols = entry->symbols;
-      response.outcome = Outcome::kRefresh;
-      response.version = now_version;
-      response.length = now_length;
-      return response;
+      return Response(entry->memo, Outcome::kRefresh);
     }
   }
 
@@ -98,86 +106,79 @@ Result<PatternCache::Response> PatternCache::Serve(const Request& request) {
       std::unique_ptr<stream::ContinuousMiner> miner,
       stream::ContinuousMiner::SeedFromPrefix(request.options,
                                               snapshot.series));
-  MiningResult result = miner->Snapshot();
+  std::shared_ptr<const Memo> memo =
+      MakeMemo(miner->Snapshot(), snapshot.series.symbols(),
+               request.options.period, snapshot.version,
+               snapshot.series.length());
   misses_.Inc();
-
-  const std::string key = EncodeKey(request);
-  uint64_t new_bytes =
-      miner->ApproxMemoryBytes() + result.size() * 64 + sizeof(Entry);
   {
     std::lock_guard<std::mutex> lock(entry->mu);
     entry->last_used = tick;
+    entry->miner_bytes = miner->ApproxMemoryBytes();
     entry->miner = std::move(miner);
-    entry->symbols = snapshot.series.symbols();
+    entry->symbols = memo->symbols;
     entry->fed_version = snapshot.version;
-    // A mutation delivered while we were mining never reached this miner.
+    // A mutation delivered while we were mining never reached this miner,
+    // and this memo is already stale: answer with it, but do not keep it.
     entry->miner_in_sync = entry->last_mutation_version <= snapshot.version;
-    entry->memo = result;
-    entry->memo_valid = true;
-    entry->memo_version = snapshot.version;
-    entry->memo_length = snapshot.series.length();
+    entry->memo = entry->miner_in_sync ? memo : nullptr;
+    Charge(entry);
   }
-  {
-    std::lock_guard<std::mutex> lock(map_mu_);
-    auto it = entries_.find(key);
-    if (it != entries_.end() && it->second == entry) {
-      total_bytes_ += new_bytes - entry->approx_bytes;
-      entry->approx_bytes = new_bytes;
-      bytes_gauge_.Set(total_bytes_);
-      MaybeEvict();
-    }
-  }
-
-  Response response;
-  response.result = std::move(result);
-  response.symbols = snapshot.series.symbols();
-  response.outcome = Outcome::kMiss;
-  response.version = snapshot.version;
-  response.length = snapshot.series.length();
-  return response;
+  return Response(std::move(memo), Outcome::kMiss);
 }
 
 void PatternCache::OnMutation(const SeriesStore::Mutation& mutation) {
-  std::vector<std::pair<std::string, std::shared_ptr<Entry>>> affected;
+  std::vector<std::shared_ptr<Entry>> affected;
   {
     std::lock_guard<std::mutex> lock(map_mu_);
     for (const auto& [key, entry] : entries_) {
-      if (entry->series == mutation.name) affected.emplace_back(key, entry);
+      if (entry->series == mutation.name) affected.push_back(entry);
     }
   }
-  for (const auto& [key, entry] : affected) {
-    bool shrank = false;
-    {
-      std::lock_guard<std::mutex> lock(entry->mu);
-      entry->last_mutation_version = mutation.version;
-      if (mutation.kind == SeriesStore::Mutation::Kind::kAppend &&
-          entry->miner != nullptr && entry->miner_in_sync &&
-          entry->fed_version + 1 == mutation.version &&
-          mutation.delta != nullptr) {
-        // O(Δ): feed the appended instants to the resident miner.
-        for (const tsdb::FeatureSet& instant : *mutation.delta) {
-          entry->miner->Append(instant);
-        }
-        entry->fed_version = mutation.version;
-      } else {
-        // Replaced, dropped, or a missed delta: the resident state no
-        // longer extends the stored series.
-        entry->miner.reset();
-        entry->miner_in_sync = false;
-        shrank = true;
+  for (const std::shared_ptr<Entry>& entry : affected) {
+    std::lock_guard<std::mutex> lock(entry->mu);
+    entry->last_mutation_version = mutation.version;
+    bool recharge = false;
+    if (mutation.kind == SeriesStore::Mutation::Kind::kAppend &&
+        entry->miner != nullptr && entry->miner_in_sync &&
+        entry->fed_version + 1 == mutation.version &&
+        mutation.delta != nullptr) {
+      // O(Δ): feed the appended instants to the resident miner.
+      for (const tsdb::FeatureSet& instant : *mutation.delta) {
+        entry->miner->Append(instant);
       }
-      if (entry->memo_valid) invalidations_.Inc();
+      entry->fed_version = mutation.version;
+    } else if (entry->miner != nullptr) {
+      // Replaced, dropped, or a missed delta: the resident state no
+      // longer extends the stored series.
+      entry->miner.reset();
+      entry->miner_in_sync = false;
+      recharge = true;
     }
-    if (shrank) {
-      std::lock_guard<std::mutex> lock(map_mu_);
-      auto it = entries_.find(key);
-      if (it != entries_.end() && it->second == entry) {
-        total_bytes_ -= entry->approx_bytes;
-        entry->approx_bytes = 0;
-        bytes_gauge_.Set(total_bytes_);
-      }
+    // Every mutation moves the series past the memo's version, so the memo
+    // can never be served again; responses already holding it keep it.
+    if (entry->memo != nullptr) {
+      entry->memo.reset();
+      invalidations_.Inc();
+      recharge = true;
     }
+    if (recharge) Charge(entry);
   }
+}
+
+void PatternCache::Charge(const std::shared_ptr<Entry>& entry) {
+  const uint64_t bytes =
+      entry->miner == nullptr
+          ? 0
+          : sizeof(Entry) + entry->miner_bytes +
+                (entry->memo != nullptr ? entry->memo->section.size() : 0);
+  std::lock_guard<std::mutex> lock(map_mu_);
+  auto it = entries_.find(entry->key);
+  if (it == entries_.end() || it->second != entry) return;  // Evicted.
+  total_bytes_ += bytes - entry->approx_bytes;
+  entry->approx_bytes = bytes;
+  bytes_gauge_.Set(total_bytes_);
+  MaybeEvict();
 }
 
 void PatternCache::MaybeEvict() {

@@ -27,11 +27,12 @@ namespace ppm::service {
 /// re-mine (docs/SERVING.md).
 ///
 /// Coherence: the cache subscribes to `SeriesStore` mutations (delivered
-/// under the mutated series' lock). An append feeds every in-sync entry of
-/// that series and stales their memoized results; a put or drop discards
-/// the entries' miners outright. A query outcome is one of:
+/// under the mutated series' lock). Every mutation releases the series'
+/// memos; an append also feeds every in-sync entry's miner, while a put or
+/// drop discards the entries' miners outright. A query outcome is one of:
 ///
-///   - *hit*: the memoized result is already at the store's current version.
+///   - *hit*: the memo is already at the store's current version; the
+///     response shares it (a pointer copy, no patterns are copied).
 ///   - *refresh*: the resident miner is in sync (fed every append, no
 ///     drifted letters) -- one `Snapshot()` derivation, O(hit store).
 ///   - *miss*: full rebuild from a fresh store snapshot (first query,
@@ -56,14 +57,37 @@ class PatternCache {
     bool force_rebuild = false;
   };
 
-  struct Response {
+  /// One derivation, immutable once built and shared by every response
+  /// that serves it: a hit copies this pointer, never the patterns.
+  struct Memo {
     MiningResult result;
     /// Names for the ids in `result` (the serving snapshot's table).
     tsdb::SymbolTable symbols;
-    Outcome outcome = Outcome::kMiss;
     /// Store version and length of the snapshot the result reflects.
     uint64_t version = 0;
     uint64_t length = 0;
+    /// `result` and `symbols` as a response payload's result section
+    /// (`wire::PutResultSection`), encoded once when the memo is built.
+    std::string section;
+  };
+
+  struct Response {
+    Response(std::shared_ptr<const Memo> served, Outcome served_outcome)
+        : memo(std::move(served)),
+          result(memo->result),
+          symbols(memo->symbols),
+          outcome(served_outcome),
+          version(memo->version),
+          length(memo->length) {}
+
+    /// Keeps `result` and `symbols` alive however the cache moves on.
+    std::shared_ptr<const Memo> memo;
+    const MiningResult& result;
+    const tsdb::SymbolTable& symbols;
+    Outcome outcome;
+    /// Store version and length of the snapshot the result reflects.
+    uint64_t version;
+    uint64_t length;
   };
 
   /// `memory_budget_bytes` caps resident miner state; least-recently-used
@@ -80,13 +104,15 @@ class PatternCache {
   /// Resident entries (tests).
   uint64_t entry_count() const;
 
-  /// Approximate resident bytes (tests).
+  /// Charged bytes: per resident entry, its miner's footprint when seeded
+  /// plus its memo's encoded section (docs/SERVING.md).
   uint64_t resident_bytes() const;
 
  private:
   struct Entry {
     mutable std::mutex mu;
-    /// Request fields this entry is keyed by (for eviction bookkeeping).
+    /// The entry's key and series (for eviction and mutation routing).
+    std::string key;
     std::string series;
 
     /// Resident incremental miner and the store version its state
@@ -95,16 +121,16 @@ class PatternCache {
     std::unique_ptr<stream::ContinuousMiner> miner;
     bool miner_in_sync = false;
     uint64_t fed_version = 0;
+    /// `miner->ApproxMemoryBytes()` when it was seeded.
+    uint64_t miner_bytes = 0;
 
     /// Symbol table captured when the miner was seeded (patterns only
     /// reference seeded ids, so this table always covers them).
     tsdb::SymbolTable symbols;
 
-    /// Memoized derivation and the version it serves.
-    MiningResult memo;
-    bool memo_valid = false;
-    uint64_t memo_version = 0;
-    uint64_t memo_length = 0;
+    /// Memoized derivation at `memo->version`; released by every mutation
+    /// of the series, since it can never be served again.
+    std::shared_ptr<const Memo> memo;
 
     /// Newest mutation version observed for the series -- detects deltas
     /// that raced a rebuild.
@@ -118,6 +144,10 @@ class PatternCache {
 
   std::string EncodeKey(const Request& request) const;
   std::shared_ptr<Entry> GetOrCreate(const Request& request);
+  /// Re-charges `entry` at its miner + memo section bytes, then evicts past
+  /// the budget. Caller holds `entry->mu`; `map_mu_` is taken inside it,
+  /// never the other way round.
+  void Charge(const std::shared_ptr<Entry>& entry);
   void MaybeEvict();
 
   SeriesStore* store_;

@@ -638,23 +638,11 @@ wire::Response PatternServer::Execute(const wire::Request& request,
       response.cache_outcome = static_cast<uint8_t>(served->outcome);
       response.version = served->version;
       response.length = served->length;
-      response.num_periods = served->result.stats().num_periods;
-      response.period = request.period;
-      response.symbols = served->symbols.names();
-      response.patterns.reserve(served->result.size());
-      for (const FrequentPattern& frequent : served->result.patterns()) {
-        wire::WirePattern pattern;
-        for (uint32_t position = 0; position < frequent.pattern.period();
-             ++position) {
-          frequent.pattern.at(position).ForEach(
-              [&pattern, position](uint32_t feature) {
-                pattern.letters.emplace_back(position, feature);
-              });
-        }
-        pattern.count = frequent.count;
-        pattern.confidence = frequent.confidence;
-        response.patterns.push_back(std::move(pattern));
-      }
+      // The memo's result section was encoded once, when the memo was
+      // built; the aliasing pointer keeps the memo alive until the
+      // response is encoded, however the cache moves on meanwhile.
+      response.result_section = std::shared_ptr<const std::string>(
+          served->memo, &served->memo->section);
       break;
     }
     case wire::Op::kStats:

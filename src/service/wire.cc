@@ -180,6 +180,43 @@ Result<Request> DecodeRequest(std::string_view payload) {
   return request;
 }
 
+std::vector<WirePattern> ToWirePatterns(const MiningResult& result) {
+  std::vector<WirePattern> patterns;
+  patterns.reserve(result.size());
+  for (const FrequentPattern& frequent : result.patterns()) {
+    WirePattern& pattern = patterns.emplace_back();
+    for (uint32_t position = 0; position < frequent.pattern.period();
+         ++position) {
+      frequent.pattern.at(position).ForEach(
+          [&pattern, position](uint32_t feature) {
+            pattern.letters.emplace_back(position, feature);
+          });
+    }
+    pattern.count = frequent.count;
+    pattern.confidence = frequent.confidence;
+  }
+  return patterns;
+}
+
+void PutResultSection(std::string* out, uint64_t num_periods, uint32_t period,
+                      const std::vector<std::string>& symbols,
+                      const std::vector<WirePattern>& patterns) {
+  PutU64(out, num_periods);
+  PutU32(out, period);
+  PutU32(out, static_cast<uint32_t>(symbols.size()));
+  for (const std::string& symbol : symbols) PutString(out, symbol);
+  PutU64(out, patterns.size());
+  for (const WirePattern& pattern : patterns) {
+    PutU32(out, static_cast<uint32_t>(pattern.letters.size()));
+    for (const auto& [position, feature] : pattern.letters) {
+      PutU32(out, position);
+      PutU32(out, feature);
+    }
+    PutU64(out, pattern.count);
+    PutF64(out, pattern.confidence);
+  }
+}
+
 std::string EncodeResponse(const Response& response) {
   return EncodeResponse(response, 1);
 }
@@ -192,19 +229,11 @@ std::string EncodeResponse(const Response& response, uint8_t version) {
   PutU8(&out, response.cache_outcome);
   PutU64(&out, response.version);
   PutU64(&out, response.length);
-  PutU64(&out, response.num_periods);
-  PutU32(&out, response.period);
-  PutU32(&out, static_cast<uint32_t>(response.symbols.size()));
-  for (const std::string& symbol : response.symbols) PutString(&out, symbol);
-  PutU64(&out, response.patterns.size());
-  for (const WirePattern& pattern : response.patterns) {
-    PutU32(&out, static_cast<uint32_t>(pattern.letters.size()));
-    for (const auto& [position, feature] : pattern.letters) {
-      PutU32(&out, position);
-      PutU32(&out, feature);
-    }
-    PutU64(&out, pattern.count);
-    PutF64(&out, pattern.confidence);
+  if (response.result_section != nullptr) {
+    out += *response.result_section;
+  } else {
+    PutResultSection(&out, response.num_periods, response.period,
+                     response.symbols, response.patterns);
   }
   PutU8(&out, response.has_series ? 1 : 0);
   if (response.has_series) PutSeries(&out, response.series);

@@ -3,11 +3,13 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
 
+#include "core/mining_result.h"
 #include "tsdb/time_series.h"
 #include "util/status.h"
 
@@ -120,6 +122,11 @@ struct Response {
   uint32_t period = 0;
   std::vector<std::string> symbols;
   std::vector<WirePattern> patterns;
+  /// Encoder side only: the four fields above already written by
+  /// `PutResultSection` (the pattern cache encodes each memo once). When
+  /// set, `EncodeResponse` copies these bytes in their place and the four
+  /// fields are ignored; decoders always fill the fields.
+  std::shared_ptr<const std::string> result_section;
 
   /// kGet result.
   bool has_series = false;
@@ -145,6 +152,18 @@ std::string EncodeRequest(const Request& request);
 /// Encodes in an explicit layout (tests and version-pinned callers).
 std::string EncodeRequest(const Request& request, uint8_t version);
 Result<Request> DecodeRequest(std::string_view payload);
+
+/// The patterns of `result` as wire letters, position-major with ascending
+/// feature ids per position.
+std::vector<WirePattern> ToWirePatterns(const MiningResult& result);
+
+/// Appends the result section of a response payload: `num_periods u64,
+/// period u32, symbols, patterns`. The only writer of those bytes, so a
+/// pre-encoded `Response::result_section` is byte-identical to encoding the
+/// fields.
+void PutResultSection(std::string* out, uint64_t num_periods, uint32_t period,
+                      const std::vector<std::string>& symbols,
+                      const std::vector<WirePattern>& patterns);
 
 std::string EncodeResponse(const Response& response);  // v1 layout
 std::string EncodeResponse(const Response& response, uint8_t version);

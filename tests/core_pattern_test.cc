@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <unordered_set>
 
+#include "core/mining_result.h"
 #include "util/random.h"
 
 namespace ppm {
@@ -217,6 +219,47 @@ TEST(PatternPropertyTest, SubpatternRelationIsPartialOrder) {
       // Meet/join interact correctly with the order.
       EXPECT_TRUE(a.IntersectWith(b).IsSubpatternOf(a));
       EXPECT_TRUE(a.IsSubpatternOf(a.UnionWith(b)));
+    }
+  }
+}
+
+TEST(PatternPropertyTest, CanonicalizeSortsByLetterCountThenPatternOrder) {
+  // Shuffled random patterns, some with feature ids past the first bitset
+  // word and many sharing a letter count, must come out sorted under the
+  // canonical comparator with every (pattern, count) pair kept.
+  ppm::Rng rng(64);
+  for (int round = 0; round < 20; ++round) {
+    const uint32_t period = 1 + static_cast<uint32_t>(rng.NextBelow(6));
+    std::map<std::string, uint64_t> expected;
+    MiningResult result;
+    SymbolTable symbols;
+    for (int f = 0; f < 140; ++f) symbols.Intern("f" + std::to_string(f));
+    for (int i = 0; i < 300; ++i) {
+      Pattern pattern(period);
+      const int letters = 1 + static_cast<int>(rng.NextBelow(4));
+      for (int l = 0; l < letters; ++l) {
+        const uint32_t feature = static_cast<uint32_t>(
+            rng.NextBool(0.3) ? 60 + rng.NextBelow(80) : rng.NextBelow(8));
+        pattern.AddLetter(static_cast<uint32_t>(rng.NextBelow(period)),
+                          feature);
+      }
+      if (!expected.emplace(pattern.Format(symbols), i).second) continue;
+      FrequentPattern& entry = result.patterns().emplace_back();
+      entry.pattern = std::move(pattern);
+      entry.count = static_cast<uint64_t>(i);
+    }
+    result.Canonicalize();
+    EXPECT_TRUE(std::is_sorted(
+        result.patterns().begin(), result.patterns().end(),
+        [](const FrequentPattern& a, const FrequentPattern& b) {
+          const uint32_t la = a.pattern.LetterCount();
+          const uint32_t lb = b.pattern.LetterCount();
+          if (la != lb) return la < lb;
+          return a.pattern < b.pattern;
+        }));
+    ASSERT_EQ(result.size(), expected.size());
+    for (const FrequentPattern& entry : result.patterns()) {
+      EXPECT_EQ(expected.at(entry.pattern.Format(symbols)), entry.count);
     }
   }
 }

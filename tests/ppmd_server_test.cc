@@ -499,6 +499,112 @@ std::string LittleEndian32(uint32_t value) {
   return out;
 }
 
+/// The wire form of a served result built field by field, the way a
+/// response looked before the cache encoded its memos once.
+wire::Response StructuredResponse(const PatternCache::Response& served,
+                                  uint8_t outcome, uint32_t period) {
+  wire::Response response;
+  response.cache_outcome = outcome;
+  response.version = served.version;
+  response.length = served.length;
+  response.num_periods = served.result.stats().num_periods;
+  response.period = period;
+  response.symbols = served.symbols.names();
+  for (const FrequentPattern& frequent : served.result.patterns()) {
+    wire::WirePattern& pattern = response.patterns.emplace_back();
+    for (uint32_t position = 0; position < period; ++position) {
+      frequent.pattern.at(position).ForEach([&](uint32_t feature) {
+        pattern.letters.emplace_back(position, feature);
+      });
+    }
+    pattern.count = frequent.count;
+    pattern.confidence = frequent.confidence;
+  }
+  return response;
+}
+
+TEST_F(PatternServerTest, CachedPayloadsAreByteIdenticalToStructuredEncode) {
+  auto server = StartServer();
+  auto client = Client::Connect(socket_);
+  ASSERT_TRUE(client.ok());
+  for (const uint8_t version : {1, 2}) {
+    const std::string name = "s" + std::to_string(version);
+    wire::Request put;
+    put.op = wire::Op::kPut;
+    put.name = name;
+    for (uint32_t s = 0; s < 30; ++s) {
+      put.series.AppendNamed({"a"});
+      if (s % 3 != 0) {
+        put.series.AppendNamed({"b", "c"});
+      } else {
+        put.series.AppendNamed({});
+      }
+      put.series.AppendNamed({});
+      if (s % 2 == 0) {
+        put.series.AppendNamed({"d"});
+      } else {
+        put.series.AppendNamed({});
+      }
+    }
+    ASSERT_EQ((*client)->Call(put)->code, 0);
+
+    wire::Request query = QueryRequest(name, 4);
+    query.min_confidence = 0.3;
+    if (version == 2) query.tenant = "t";
+    ::ppm::service::QueryRequest local;
+    local.series = name;
+    local.period = 4;
+    local.min_confidence = 0.3;
+
+    RawPeer peer(socket_);
+    ASSERT_TRUE(peer.ok());
+    ASSERT_TRUE(peer.Handshake());
+    const auto served_payload = [&]() {
+      EXPECT_TRUE(
+          peer.Send(wire::EncodeFrame(wire::EncodeRequest(query, version))));
+      return peer.ReadResponsePayload();
+    };
+    // Each socket answer is compared with the same memo re-read in process
+    // (a hit at the same version) and encoded field by field.
+    const auto expected_payload = [&](PatternCache::Outcome outcome) {
+      auto served = server->service().Query(local);
+      EXPECT_TRUE(served.ok());
+      return wire::EncodeResponse(
+          StructuredResponse(*served, static_cast<uint8_t>(outcome), 4),
+          version);
+    };
+
+    const std::string miss = served_payload();
+    EXPECT_EQ(miss, expected_payload(PatternCache::Outcome::kMiss));
+    const std::string hit = served_payload();
+    EXPECT_EQ(hit, expected_payload(PatternCache::Outcome::kHit));
+
+    wire::Request append;
+    append.op = wire::Op::kAppend;
+    append.name = name;
+    append.instants = {{"a"}, {"b", "c"}, {}, {"d"}};
+    ASSERT_EQ((*client)->Call(append)->code, 0);
+    const std::string refresh = served_payload();
+    EXPECT_EQ(refresh, expected_payload(PatternCache::Outcome::kRefresh));
+
+    auto decoded = wire::DecodeResponse(refresh);
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+    EXPECT_EQ(decoded->cache_outcome,
+              static_cast<uint8_t>(PatternCache::Outcome::kRefresh));
+    EXPECT_EQ(decoded->num_periods, 31u);
+    EXPECT_GT(decoded->patterns.size(), 4u);
+
+    // Consecutive hits share one memo.
+    auto first = server->service().Query(local);
+    auto second = server->service().Query(local);
+    ASSERT_TRUE(first.ok() && second.ok());
+    EXPECT_EQ(first->memo.get(), second->memo.get());
+  }
+
+  server->RequestStop();
+  server->Wait();
+}
+
 TEST_F(PatternServerTest, OversizedDeclaredFrameLengthClosesConnection) {
   auto server = StartServer();
   RawPeer peer(socket_);

@@ -7,7 +7,9 @@
 
 #include "core/hitset_miner.h"
 #include "diff_harness.h"
+#include "obs/metrics.h"
 #include "service/series_store.h"
+#include "service/wire.h"
 #include "tsdb/series_source.h"
 
 namespace ppm::service {
@@ -63,6 +65,53 @@ class PatternCacheTest : public ::testing::Test {
   std::unique_ptr<SeriesStore> store_;
 };
 
+uint64_t Invalidations() {
+  return obs::MetricsRegistry::Global()
+      .GetCounter("ppm.server.cache.invalidations")
+      .value();
+}
+
+/// The response a served result would travel as, with its result section
+/// either taken from the memo or encoded field by field from the result.
+wire::Response WireOf(const PatternCache::Response& served, uint32_t period,
+                      bool shared_section) {
+  wire::Response response;
+  response.cache_outcome = static_cast<uint8_t>(served.outcome);
+  response.version = served.version;
+  response.length = served.length;
+  if (shared_section) {
+    response.result_section = std::shared_ptr<const std::string>(
+        served.memo, &served.memo->section);
+    return response;
+  }
+  response.num_periods = served.result.stats().num_periods;
+  response.period = period;
+  response.symbols = served.symbols.names();
+  for (const FrequentPattern& frequent : served.result.patterns()) {
+    wire::WirePattern& pattern = response.patterns.emplace_back();
+    for (uint32_t position = 0; position < period; ++position) {
+      frequent.pattern.at(position).ForEach([&](uint32_t feature) {
+        pattern.letters.emplace_back(position, feature);
+      });
+    }
+    pattern.count = frequent.count;
+    pattern.confidence = frequent.confidence;
+  }
+  return response;
+}
+
+/// Every served outcome's memo section encodes byte-identically to the
+/// structured response, in both payload layouts.
+void ExpectSectionMatchesStructured(const PatternCache::Response& served,
+                                    uint32_t period) {
+  for (const uint8_t version : {1, 2}) {
+    EXPECT_EQ(wire::EncodeResponse(WireOf(served, period, true), version),
+              wire::EncodeResponse(WireOf(served, period, false), version))
+        << "outcome " << static_cast<int>(served.outcome) << " version "
+        << static_cast<int>(version);
+  }
+}
+
 TEST_F(PatternCacheTest, MissHitRefreshLifecycle) {
   PatternCache cache(store_.get(), 0);
   Wire(&cache);
@@ -94,6 +143,79 @@ TEST_F(PatternCacheTest, MissHitRefreshLifecycle) {
                                        config.min_confidence, &batch_symbols);
   EXPECT_EQ(diff::Serialize(third->result, third->symbols),
             diff::Serialize(batch, batch_symbols));
+}
+
+TEST_F(PatternCacheTest, InvalidationCountsOnlyDroppedMemos) {
+  PatternCache cache(store_.get(), 0);
+  Wire(&cache);
+  const diff::DiffConfig config = diff::RandomDiffConfig(7);
+  ASSERT_TRUE(store_->Put("s", diff::MakeRandomSeries(config)).ok());
+  const auto request = MakeRequest("s", config.period, config.min_confidence);
+  ASSERT_TRUE(cache.Serve(request).ok());
+  const uint64_t bytes_with_memo = cache.resident_bytes();
+
+  // Three appends before the next query drop exactly one memo.
+  const uint64_t before = Invalidations();
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(store_->Append("s", {{"f0"}, {"f1", "f0"}}).ok());
+  }
+  EXPECT_EQ(Invalidations(), before + 1);
+  // The released memo's section is no longer charged.
+  EXPECT_LT(cache.resident_bytes(), bytes_with_memo);
+
+  auto served = cache.Serve(request);
+  ASSERT_TRUE(served.ok());
+  EXPECT_EQ(served->outcome, PatternCache::Outcome::kRefresh);
+  EXPECT_EQ(Invalidations(), before + 1);
+}
+
+TEST_F(PatternCacheTest, ServedSectionsAreByteIdenticalAndShared) {
+  PatternCache cache(store_.get(), 0);
+  Wire(&cache);
+  const diff::DiffConfig config = diff::RandomDiffConfig(61);
+  ASSERT_TRUE(store_->Put("s", diff::MakeRandomSeries(config)).ok());
+  const auto request = MakeRequest("s", config.period, config.min_confidence);
+
+  auto miss = cache.Serve(request);
+  ASSERT_TRUE(miss.ok());
+  ASSERT_EQ(miss->outcome, PatternCache::Outcome::kMiss);
+  ExpectSectionMatchesStructured(*miss, config.period);
+
+  // Consecutive hits share one memo: the same object, not a copy of it.
+  auto hit = cache.Serve(request);
+  auto again = cache.Serve(request);
+  ASSERT_TRUE(hit.ok() && again.ok());
+  ASSERT_EQ(hit->outcome, PatternCache::Outcome::kHit);
+  ASSERT_EQ(again->outcome, PatternCache::Outcome::kHit);
+  EXPECT_EQ(hit->memo.get(), again->memo.get());
+  EXPECT_EQ(hit->memo.get(), miss->memo.get());
+  EXPECT_EQ(&hit->result, &again->result);
+  ExpectSectionMatchesStructured(*hit, config.period);
+
+  // A response held across an append and a refresh still serves its own
+  // version: the refresh builds a new memo instead of touching this one.
+  tsdb::SymbolTable old_symbols;
+  const std::string old_patterns = diff::Serialize(
+      BatchMine("s", config.period, config.min_confidence, &old_symbols),
+      old_symbols);
+  const std::string held_payload =
+      wire::EncodeResponse(WireOf(*hit, config.period, true), 2);
+  ASSERT_TRUE(store_->Append("s", {{"f0"}, {"f1", "f0"}}).ok());
+  auto refresh = cache.Serve(request);
+  ASSERT_TRUE(refresh.ok());
+  ASSERT_EQ(refresh->outcome, PatternCache::Outcome::kRefresh);
+  EXPECT_NE(refresh->memo.get(), hit->memo.get());
+  ExpectSectionMatchesStructured(*refresh, config.period);
+
+  EXPECT_EQ(diff::Serialize(hit->result, hit->symbols), old_patterns);
+  EXPECT_EQ(wire::EncodeResponse(WireOf(*hit, config.period, true), 2),
+            held_payload);
+  auto decoded = wire::DecodeResponse(held_payload);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(decoded->version, miss->version);
+  EXPECT_LT(decoded->version, refresh->version);
+  EXPECT_EQ(decoded->num_periods, hit->result.stats().num_periods);
+  EXPECT_EQ(decoded->patterns.size(), hit->result.size());
 }
 
 TEST_F(PatternCacheTest, PutInvalidatesToMiss) {
