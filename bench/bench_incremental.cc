@@ -119,7 +119,7 @@ void Run(obs::JsonWriter* rows) {
     auto recovered = DieOr(stream::RecoverContinuousStream(dir, options));
     const double recover_ms = recover_watch.ElapsedMillis();
     Stopwatch snapshot_watch;
-    const MiningResult incremental = recovered.miner->Snapshot();
+    const MiningResult incremental = DieOr(recovered.miner->Snapshot());
     const double snapshot_ms = snapshot_watch.ElapsedMillis();
     const obs::MetricsSnapshot incr_delta =
         obs::MetricsRegistry::Global().Snapshot().DeltaSince(before_incr);

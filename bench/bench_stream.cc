@@ -51,7 +51,7 @@ void Run(obs::JsonWriter* rows) {
     consumed = checkpoint;
 
     Stopwatch snapshot_watch;
-    const MiningResult snapshot = miner->Snapshot();
+    const MiningResult snapshot = miner->Snapshot().value();
     const double snapshot_ms = snapshot_watch.ElapsedMillis();
 
     // Batch equivalent: mine the prefix seen so far from scratch.

@@ -34,7 +34,7 @@ ppm::tsdb::FeatureSet HourInstant(ppm::tsdb::SymbolTable* symbols,
 
 void PrintSnapshot(const ppm::stream::ContinuousMiner& miner,
                    const ppm::tsdb::SymbolTable& symbols, int day) {
-  const ppm::MiningResult snapshot = miner.Snapshot();
+  const ppm::MiningResult snapshot = miner.Snapshot().value();
   std::printf("day %3d: %llu segments, %zu frequent patterns:",
               day, static_cast<unsigned long long>(miner.segments_committed()),
               snapshot.size());

@@ -85,8 +85,8 @@ std::string UsageText() {
       "            client put|append|get|mine|query|stats|health|ready|\n"
       "            shutdown --socket S [--name N] [--input F] [--output F]\n"
       "            [--period N] [--min-conf 0.8] [--min-count N]\n"
-      "            [--max-letters K] [--algorithm hitset|apriori]\n"
-      "            [--deadline-ms N] [--tenant T] [--retry-budget-ms N]\n"
+      "            [--max-letters K] [--deadline-ms N] [--tenant T]\n"
+      "            [--retry-budget-ms N]\n"
       "            [--top N] [--stats-json REPORT_FILE]\n"
       "            [--metrics-prom PROM_FILE] [--connect-wait-ms N]\n"
       "            (connect retries transient refusals for N ms while the\n"

@@ -81,11 +81,12 @@ Status RunStream(const ArgMap& args, std::ostream& out);
 
 /// `ppm client`: talk to a running `ppmd` daemon over its unix socket
 /// (PPMRPC1, docs/SERVING.md). First positional is the action:
-/// `put|append|get|mine|query|stats|shutdown`. Flags: --socket, --name,
-/// --input (put/append), --output (get), --period, --min-conf,
-/// --min-count, --max-letters, --algorithm {hitset,apriori},
-/// --deadline-ms, --top, --stats-json, --metrics-prom. Server-side
-/// failures map to the same exit codes as local runs.
+/// `put|append|get|mine|query|stats|health|ready|shutdown`. Flags:
+/// --socket, --name, --input (put/append), --output (get), --period,
+/// --min-conf, --min-count, --max-letters, --deadline-ms, --tenant,
+/// --retry-budget-ms, --top, --stats-json, --metrics-prom,
+/// --connect-wait-ms. Server-side failures map to the same exit codes as
+/// local runs.
 Status RunClient(const ArgMap& args, std::ostream& out);
 
 /// `ppm dist`: fault-tolerant distributed shard mining

@@ -39,8 +39,10 @@ const char* OutcomeName(uint8_t outcome) {
 
 /// Rebuilds local `FrequentPattern`s from the wire form so the output goes
 /// through the same `PrintPatterns` as `ppm mine` (byte-identical lines).
-Status PrintWirePatterns(const service::wire::Response& response,
-                         uint64_t top, std::ostream& out) {
+/// `DecodeResponse` already checked every letter against the period and
+/// the symbol list.
+void PrintWirePatterns(const service::wire::Response& response, uint64_t top,
+                       std::ostream& out) {
   tsdb::SymbolTable symbols;
   for (const std::string& name : response.symbols) symbols.Intern(name);
   std::vector<FrequentPattern> patterns;
@@ -48,10 +50,6 @@ Status PrintWirePatterns(const service::wire::Response& response,
   for (const service::wire::WirePattern& wp : response.patterns) {
     Pattern pattern(response.period);
     for (const auto& [position, feature] : wp.letters) {
-      if (position >= response.period || feature >= symbols.size()) {
-        return Status::Corruption("server sent a letter outside the period "
-                                  "or symbol table");
-      }
       pattern.AddLetter(position, feature);
     }
     FrequentPattern entry;
@@ -61,7 +59,6 @@ Status PrintWirePatterns(const service::wire::Response& response,
     patterns.push_back(std::move(entry));
   }
   PrintPatterns(patterns, symbols, top, out);
-  return Status::OK();
 }
 
 }  // namespace
@@ -84,7 +81,7 @@ Status RunVersion(const ArgMap& args, std::ostream& out) {
 Status RunClient(const ArgMap& args, std::ostream& out) {
   PPM_RETURN_IF_ERROR(args.CheckAllowed(
       {"socket", "name", "input", "output", "period", "min-conf",
-       "min-count", "max-letters", "algorithm", "deadline-ms", "top",
+       "min-count", "max-letters", "deadline-ms", "top",
        "stats-json", "metrics-prom", "connect-wait-ms", "tenant",
        "retry-budget-ms"}));
   if (args.positional().size() != 1) {
@@ -105,8 +102,7 @@ Status RunClient(const ArgMap& args, std::ostream& out) {
     request.deadline_ms = static_cast<uint32_t>(deadline_ms);
   }
   request.name = args.GetString("name", "");
-  // A non-empty tenant upgrades the request to wire v2 so the daemon can
-  // apply that tenant's admission quota; old daemons reject the marker.
+  // The daemon applies this tenant's admission quota (empty = default).
   request.tenant = args.GetString("tenant", "");
 
   if (action == "put") {
@@ -140,14 +136,6 @@ Status RunClient(const ArgMap& args, std::ostream& out) {
     PPM_ASSIGN_OR_RETURN(const uint64_t max_letters,
                          args.GetUint("max-letters", 0));
     request.max_letters = static_cast<uint32_t>(max_letters);
-    const std::string algorithm = args.GetString("algorithm", "hitset");
-    if (algorithm == "hitset") {
-      request.algorithm = static_cast<uint8_t>(Algorithm::kMaxSubpatternHitSet);
-    } else if (algorithm == "apriori") {
-      request.algorithm = static_cast<uint8_t>(Algorithm::kApriori);
-    } else {
-      return Status::InvalidArgument("--algorithm must be hitset or apriori");
-    }
   } else if (action == "stats") {
     request.op = service::wire::Op::kStats;
   } else if (action == "health") {
@@ -215,7 +203,8 @@ Status RunClient(const ArgMap& args, std::ostream& out) {
           << " length=" << response.length
           << " outcome=" << OutcomeName(response.cache_outcome)
           << " patterns=" << response.patterns.size() << "\n";
-      return PrintWirePatterns(response, top, out);
+      PrintWirePatterns(response, top, out);
+      return Status::OK();
     }
     case service::wire::Op::kStats: {
       if (args.Has("stats-json")) {

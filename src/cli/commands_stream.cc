@@ -182,7 +182,8 @@ Status RunStreamImpl(const ArgMap& args, std::ostream& out) {
       // has been appended (the whole point of continuous mining).
       if (query_every != 0 &&
           miner->segments_committed() - last_query >= query_every) {
-        const MiningResult live = miner->Snapshot();
+        PPM_ASSIGN_OR_RETURN(const MiningResult live,
+                             miner->Snapshot(interrupt));
         out << "query t=" << miner->instants_seen()
             << " m=" << miner->effective_segments()
             << " patterns=" << live.size() << "\n";
@@ -194,7 +195,7 @@ Status RunStreamImpl(const ArgMap& args, std::ostream& out) {
   PPM_RETURN_IF_ERROR(
       stream::CheckpointStream(*miner, *wal, series.symbols(), dir));
 
-  const MiningResult result = miner->Snapshot();
+  PPM_ASSIGN_OR_RETURN(const MiningResult result, miner->Snapshot(interrupt));
   out << "streamed " << miner->instants_seen() << " instants"
       << (resumed ? " (resumed)" : "") << "\n";
   if (resumed) {

@@ -44,11 +44,9 @@ const char kUsage[] =
     "  --db DIR               SeriesStore catalog root (required; created\n"
     "                         if missing)\n"
     "  --workers N            request-executing threads (default 4)\n"
-    "  --max-inflight N       legacy alias of --queue-capacity (default\n"
-    "                         2x workers)\n"
     "  --queue-capacity N     bounded admission queue; requests past it\n"
     "                         are shed with ResourceExhausted + a\n"
-    "                         retry-after hint (default = max-inflight)\n"
+    "                         retry-after hint (default 2x workers)\n"
     "  --tenant-quota SPEC    per-tenant quotas, comma-separated\n"
     "                         tenant=rps:burst:inflight entries (0 =\n"
     "                         unlimited); the 'default' tenant is the\n"
@@ -72,7 +70,7 @@ const char kUsage[] =
 ppm::Status RunDaemon(const ppm::cli::ArgMap& args) {
   using ppm::Status;
   PPM_RETURN_IF_ERROR(args.CheckAllowed(
-      {"socket", "db", "workers", "max-inflight", "queue-capacity",
+      {"socket", "db", "workers", "queue-capacity",
        "tenant-quota", "io-timeout-ms", "max-instants-per-series",
        "memory-budget-mb", "cache-budget-mb", "wal-fsync", "stats-json",
        "metrics-prom"}));
@@ -86,9 +84,6 @@ ppm::Status RunDaemon(const ppm::cli::ArgMap& args) {
   if (db.empty()) return Status::InvalidArgument("--db is required");
   PPM_ASSIGN_OR_RETURN(const uint64_t workers, args.GetUint("workers", 4));
   options.num_workers = static_cast<uint32_t>(workers);
-  PPM_ASSIGN_OR_RETURN(const uint64_t max_inflight,
-                       args.GetUint("max-inflight", 0));
-  options.max_inflight = static_cast<uint32_t>(max_inflight);
   PPM_ASSIGN_OR_RETURN(const uint64_t queue_capacity,
                        args.GetUint("queue-capacity", 0));
   options.queue_capacity = static_cast<uint32_t>(queue_capacity);

@@ -50,12 +50,13 @@ DerivationStats DeriveFrequentPatterns(
     MiningResult* result, ThreadPool* pool = nullptr,
     const Interrupt& interrupt = Interrupt(), MemoryBudget* budget = nullptr);
 
-/// The hit-set miners' tail: derives every frequent pattern of `f1` from
-/// the finished `store` (a `kind` store over `f1.space`), canonicalizes
-/// `*result`, and fills its F_1 and hit-store statistics. `pool`,
-/// `interrupt` and `budget` are passed to `DeriveFrequentPatterns`. Returns
-/// the derivation status with fault accounting; `*result` is partial
-/// unless it is OK.
+/// The one derivation tail of every hit-set result -- the batch miners,
+/// `ContinuousMiner::Snapshot` and the dist merger: derives every frequent
+/// pattern of `f1` from the finished `store` (a `kind` store over
+/// `f1.space`), canonicalizes `*result`, and fills its F_1 and hit-store
+/// statistics. `pool`, `interrupt` and `budget` are passed to
+/// `DeriveFrequentPatterns`. Returns the derivation status with fault
+/// accounting; on any error `*result` is partial and callers discard it.
 Status DeriveFromHitStore(const F1ScanResult& f1, const HitStore& store,
                           HitStoreKind kind, uint32_t max_letters,
                           ThreadPool* pool, const Interrupt& interrupt,

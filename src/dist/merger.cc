@@ -61,10 +61,6 @@ Result<MergedInput> MergeOneInput(const ShardPlan& plan, uint32_t input_index,
   const F1ScanResult f1 =
       FinishF1(letter_totals, plan.ToMiningOptions(), covered);
 
-  MiningResult& result = merged.result;
-  result.stats().num_f1_letters = f1.space.size();
-  result.stats().num_periods = covered;
-
   // Step 3: project raw segment patterns onto the global F_1 and rebuild
   // the hit store. Projections with < 2 letters carry no information
   // beyond F_1's exact counts -- the same skip rule as scan 2 of the
@@ -95,20 +91,13 @@ Result<MergedInput> MergeOneInput(const ShardPlan& plan, uint32_t input_index,
   }
 
   // Step 4: the one-shot derivation over the merged counts.
-  const DerivationStats derivation = DeriveFrequentPatterns(
-      f1, plan.max_letters,
-      [&store](const Bitset& candidate) {
-        return store->CountSuperpatterns(candidate);
-      },
-      &result);
-  PPM_RETURN_IF_ERROR(derivation.status);
-  result.Canonicalize();
-  result.stats().candidates_evaluated = derivation.candidates_evaluated;
-  result.stats().max_level_reached = derivation.max_level_reached;
-  result.stats().hit_store_entries = store->num_entries();
+  PPM_RETURN_IF_ERROR(DeriveFromHitStore(f1, *store, HitStoreKind::kVertical,
+                                         plan.max_letters, nullptr,
+                                         Interrupt(), nullptr,
+                                         &merged.result));
   // The distributed pipeline reads the series exactly once (each worker
   // scans its own range once; the merge touches no series data).
-  result.stats().scans = 1;
+  merged.result.stats().scans = 1;
   return merged;
 }
 

@@ -12,7 +12,8 @@
 //   3. projects each raw segment pattern onto the global letter space
 //      (dropping projections with < 2 letters, exactly as scan 2 of the
 //      one-shot miner does), and
-//   4. reuses `DeriveFrequentPatterns` over the rebuilt hit store.
+//   4. reuses the batch miners' `DeriveFromHitStore` over the rebuilt
+//      hit store.
 //
 // Steps 2-4 are the one-shot pipeline itself, just fed from merged
 // counts -- the exactness argument in docs/DISTRIBUTED.md. Any

@@ -31,7 +31,7 @@ struct TenantQuota {
 /// `tenant=rps:burst:inflight` entries (one flag value, since ArgMap
 /// rejects repeated flags). The tenant name `default` sets the quota
 /// applied to every tenant without an explicit entry -- including requests
-/// from v1 clients, which carry no tenant id at all.
+/// that carry an empty tenant id.
 Result<std::map<std::string, TenantQuota>> ParseTenantQuotas(
     std::string_view spec);
 

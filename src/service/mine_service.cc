@@ -69,7 +69,6 @@ Result<PatternCache::Response> MineService::Query(const QueryRequest& request) {
 
   PatternCache::Request cache_request;
   cache_request.series = request.series;
-  cache_request.algorithm = request.algorithm;
   cache_request.force_rebuild = request.force_rebuild;
   MiningOptions& options = cache_request.options;
   options.period = request.period;

@@ -6,7 +6,6 @@
 #include <string>
 #include <vector>
 
-#include "core/miner.h"
 #include "core/mining_options.h"
 #include "obs/metrics.h"
 #include "service/pattern_cache.h"
@@ -46,7 +45,6 @@ struct QueryRequest {
   double min_confidence = 0.8;
   uint64_t min_count = 0;
   uint32_t max_letters = 0;
-  Algorithm algorithm = Algorithm::kMaxSubpatternHitSet;
   /// `mine` semantics: always re-mine a fresh snapshot (and update the
   /// cache). `query` semantics (false) serves from the cache when it can.
   bool force_rebuild = false;

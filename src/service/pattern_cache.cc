@@ -26,8 +26,6 @@ std::string PatternCache::EncodeKey(const Request& request) const {
   key += '\n';
   key += std::to_string(request.options.period);
   key += '/';
-  key += std::to_string(static_cast<int>(request.algorithm));
-  key += '/';
   key += conf;
   key += '/';
   key += std::to_string(request.options.min_count);
@@ -88,7 +86,10 @@ Result<PatternCache::Response> PatternCache::Serve(const Request& request) {
         entry->miner->DriftedLetters().empty()) {
       // The resident miner absorbed every append and no unseeded letter
       // went frequent: one O(hit store) derivation refreshes the memo.
-      entry->memo = MakeMemo(entry->miner->Snapshot(), entry->symbols,
+      PPM_ASSIGN_OR_RETURN(
+          MiningResult result,
+          entry->miner->Snapshot(request.options.interrupt()));
+      entry->memo = MakeMemo(std::move(result), entry->symbols,
                              request.options.period, now_version, now_length);
       Charge(entry);
       refreshes_.Inc();
@@ -106,8 +107,10 @@ Result<PatternCache::Response> PatternCache::Serve(const Request& request) {
       std::unique_ptr<stream::ContinuousMiner> miner,
       stream::ContinuousMiner::SeedFromPrefix(request.options,
                                               snapshot.series));
+  PPM_ASSIGN_OR_RETURN(MiningResult result,
+                       miner->Snapshot(request.options.interrupt()));
   std::shared_ptr<const Memo> memo =
-      MakeMemo(miner->Snapshot(), snapshot.series.symbols(),
+      MakeMemo(std::move(result), snapshot.series.symbols(),
                request.options.period, snapshot.version,
                snapshot.series.length());
   misses_.Inc();

@@ -9,7 +9,6 @@
 #include <string>
 #include <vector>
 
-#include "core/miner.h"
 #include "core/mining_options.h"
 #include "core/mining_result.h"
 #include "obs/metrics.h"
@@ -20,8 +19,8 @@
 
 namespace ppm::service {
 
-/// Mined-pattern cache keyed by (series, period, algorithm, min_conf,
-/// min_count, max_letters), backed per entry by a resident
+/// Mined-pattern cache keyed by (series, period, min_conf, min_count,
+/// max_letters), backed per entry by a resident
 /// `stream::ContinuousMiner` so a re-query after appends costs O(Δ) -- the
 /// appended instants feed the incremental miner -- instead of a from-scratch
 /// re-mine (docs/SERVING.md).
@@ -34,7 +33,7 @@ namespace ppm::service {
 ///   - *hit*: the memo is already at the store's current version; the
 ///     response shares it (a pointer copy, no patterns are copied).
 ///   - *refresh*: the resident miner is in sync (fed every append, no
-///     drifted letters) -- one `Snapshot()` derivation, O(hit store).
+///     drifted letters) -- one `Snapshot` derivation, O(hit store).
 ///   - *miss*: full rebuild from a fresh store snapshot (first query,
 ///     post-put/drop, a missed delta, or letter drift).
 ///
@@ -48,9 +47,9 @@ class PatternCache {
 
   struct Request {
     std::string series;
-    Algorithm algorithm = Algorithm::kMaxSubpatternHitSet;
     /// period / min_confidence / min_count / max_letters identify the
-    /// entry; cancel / deadline / memory budget govern this call only.
+    /// entry; cancel / deadline / memory budget govern this call only: an
+    /// interrupted derivation fails the call and memoizes nothing.
     MiningOptions options;
     /// Skip the memo and the resident miner: mine a fresh snapshot (the
     /// `mine` op; `query` serves from cache when it can).

@@ -12,6 +12,7 @@
 #include <cstring>
 #include <utility>
 
+#include "core/miner.h"
 #include "util/bytes.h"
 #include "util/frame.h"
 #include "util/log.h"
@@ -102,11 +103,8 @@ Result<std::unique_ptr<PatternServer>> PatternServer::Start(
     const std::string& root, const ServerOptions& options) {
   std::unique_ptr<PatternServer> server(new PatternServer(options));
   if (server->options_.num_workers == 0) server->options_.num_workers = 1;
-  if (server->options_.max_inflight == 0) {
-    server->options_.max_inflight = 2 * server->options_.num_workers;
-  }
   if (server->options_.queue_capacity == 0) {
-    server->options_.queue_capacity = server->options_.max_inflight;
+    server->options_.queue_capacity = 2 * server->options_.num_workers;
   }
   PPM_ASSIGN_OR_RETURN(server->service_,
                        MineService::Open(root, options.service));
@@ -398,20 +396,14 @@ bool PatternServer::HandleFrame(Conn* conn, std::string_view payload) {
     wire::Response response;
     response.code = static_cast<uint8_t>(request.status().code());
     response.message = request.status().message();
-    const uint8_t version =
-        (!payload.empty() &&
-         static_cast<uint8_t>(payload[0]) == wire::kV2Marker)
-            ? 2
-            : 1;
-    return RespondInline(conn, response, version);
+    return RespondInline(conn, response);
   }
-  const uint8_t version = request->wire_version;
   switch (request->op) {
     case wire::Op::kHealth: {
       // Liveness must survive overload: answered here, never queued.
       wire::Response response;
       response.health_json = admission_->HealthJson();
-      return RespondInline(conn, response, version);
+      return RespondInline(conn, response);
     }
     case wire::Op::kReady: {
       const wire::ReadyState state = admission_->ready_state();
@@ -423,14 +415,14 @@ bool PatternServer::HandleFrame(Conn* conn, std::string_view payload) {
                                : "shedding";
       }
       response.health_json = admission_->HealthJson();
-      return RespondInline(conn, response, version);
+      return RespondInline(conn, response);
     }
     case wire::Op::kShutdown: {
       PPM_LOG(kInfo) << "ppmd shutdown requested over socket";
       wire::Response response;
       conn->close_after_flush = true;
       RequestStop();
-      return RespondInline(conn, response, version);
+      return RespondInline(conn, response);
     }
     default:
       break;
@@ -444,7 +436,7 @@ bool PatternServer::HandleFrame(Conn* conn, std::string_view payload) {
     response.code = static_cast<uint8_t>(StatusCode::kResourceExhausted);
     response.message = decision.reason;
     response.retry_after_ms = decision.retry_after_ms;
-    return RespondInline(conn, response, version);
+    return RespondInline(conn, response);
   }
 
   Work work;
@@ -466,12 +458,10 @@ bool PatternServer::HandleFrame(Conn* conn, std::string_view payload) {
   return true;
 }
 
-bool PatternServer::RespondInline(Conn* conn, const wire::Response& response,
-                                  uint8_t version) {
+bool PatternServer::RespondInline(Conn* conn, const wire::Response& response) {
   wire::Response stamped = response;
   stamped.ready_state = static_cast<uint8_t>(admission_->ready_state());
-  conn->outbuf.append(
-      wire::EncodeFrame(wire::EncodeResponse(stamped, version)));
+  conn->outbuf.append(wire::EncodeFrame(wire::EncodeResponse(stamped)));
   return FlushConn(conn);
 }
 
@@ -549,8 +539,7 @@ void PatternServer::WorkerLoop() {
     inflight_gauge_.Set(executing_.fetch_sub(1) - 1);
 
     response.ready_state = static_cast<uint8_t>(admission_->ready_state());
-    const std::string payload =
-        wire::EncodeResponse(response, work.request.wire_version);
+    const std::string payload = wire::EncodeResponse(response);
     const bool keep =
         wire::WriteFrame(work.fd, payload, options_.io_timeout_ms).ok();
     if (!keep) io_timeouts_.Inc();
@@ -627,7 +616,6 @@ wire::Response PatternServer::Execute(const wire::Request& request,
                                      std::to_string(request.algorithm)));
         break;
       }
-      query.algorithm = static_cast<Algorithm>(request.algorithm);
       query.force_rebuild = request.op == wire::Op::kMine;
       if (has_deadline) query.deadline = deadline;
       Result<PatternCache::Response> served = service_->Query(query);

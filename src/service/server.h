@@ -27,18 +27,15 @@ struct ServerOptions {
   /// pinned to workers: the poller owns every socket and only complete,
   /// admitted requests reach a worker.
   uint32_t num_workers = 4;
-  /// Legacy global cap, kept as the `queue_capacity` default so existing
-  /// `--max-inflight` deployments keep their admission ceiling.
-  uint32_t max_inflight = 0;
   /// Bounded admission-queue capacity (admitted requests waiting for a
-  /// worker). 0 derives from `max_inflight`, else 4x workers.
+  /// worker). 0 derives 2x workers.
   uint64_t queue_capacity = 0;
   /// Slow-client defense: a partially received frame must complete, and a
   /// response write must finish, within this budget; past it the
   /// connection is closed (it cost one fd, never a worker). 0 = no limit.
   uint64_t io_timeout_ms = 10'000;
   /// Per-tenant admission quotas (`ParseTenantQuotas`); the `default`
-  /// entry governs tenants without one, including v1 clients.
+  /// entry governs tenants without one, including requests with no tenant.
   std::map<std::string, TenantQuota> tenant_quotas;
   /// The service layer's own configuration (budgets, fsync).
   MineServiceOptions service;
@@ -137,8 +134,7 @@ class PatternServer {
   /// Queues an inline response on the connection and flushes what fits.
   /// Returns false when the connection should be closed (write error, or
   /// `close_after_flush` and the buffer drained) -- the caller closes.
-  bool RespondInline(Conn* conn, const wire::Response& response,
-                     uint8_t version);
+  bool RespondInline(Conn* conn, const wire::Response& response);
   bool FlushConn(Conn* conn);    // false = close
   void CloseConn(int fd);
   void WakePoller();

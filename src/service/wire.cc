@@ -9,6 +9,7 @@
 
 #include "tsdb/instant_codec.h"
 #include "util/bytes.h"
+#include "util/check.h"
 #include "util/frame.h"
 #include "util/stopwatch.h"
 
@@ -29,6 +30,17 @@ Status Truncated() {
 /// Reads a string; every PPMRPC1 read failure is a truncated payload.
 Status ReadString(bytes::ByteReader* reader, std::string* value) {
   return reader->ReadString(value) ? Status::OK() : Truncated();
+}
+
+/// Reads the leading layout marker every payload starts with.
+Status ReadMarker(bytes::ByteReader* reader) {
+  uint8_t marker = 0;
+  if (!reader->ReadU8(&marker)) return Truncated();
+  if (marker != kV2Marker) {
+    return Status::InvalidArgument(
+        "PPMRPC1 payload without the v2 marker (the v1 layout is retired)");
+  }
+  return Status::OK();
 }
 
 // ---------------------------------------------------------------------------
@@ -72,17 +84,11 @@ std::string ReadyStateName(uint8_t state) {
 }
 
 std::string EncodeRequest(const Request& request) {
-  const bool needs_v2 = !request.tenant.empty() || request.op == Op::kHealth ||
-                        request.op == Op::kReady;
-  return EncodeRequest(request, needs_v2 ? 2 : 1);
-}
-
-std::string EncodeRequest(const Request& request, uint8_t version) {
   std::string out;
-  if (version >= 2) PutU8(&out, kV2Marker);
+  PutU8(&out, kV2Marker);
   PutU8(&out, static_cast<uint8_t>(request.op));
   PutU32(&out, request.deadline_ms);
-  if (version >= 2) PutString(&out, request.tenant);
+  PutString(&out, request.tenant);
   PutString(&out, request.name);
   switch (request.op) {
     case Op::kPut:
@@ -116,23 +122,16 @@ std::string EncodeRequest(const Request& request, uint8_t version) {
 Result<Request> DecodeRequest(std::string_view payload) {
   bytes::ByteReader reader(payload);
   Request request;
+  PPM_RETURN_IF_ERROR(ReadMarker(&reader));
   uint8_t op = 0;
   if (!reader.ReadU8(&op)) return Truncated();
-  if (op == kV2Marker) {
-    request.wire_version = 2;
-    if (!reader.ReadU8(&op)) return Truncated();
-  }
-  const uint8_t max_op = request.wire_version >= 2
-                             ? static_cast<uint8_t>(Op::kReady)
-                             : static_cast<uint8_t>(Op::kShutdown);
-  if (op < static_cast<uint8_t>(Op::kPut) || op > max_op) {
+  if (op < static_cast<uint8_t>(Op::kPut) ||
+      op > static_cast<uint8_t>(Op::kReady)) {
     return Status::InvalidArgument("unknown PPMRPC1 op: " + std::to_string(op));
   }
   request.op = static_cast<Op>(op);
   if (!reader.ReadU32(&request.deadline_ms)) return Truncated();
-  if (request.wire_version >= 2) {
-    PPM_RETURN_IF_ERROR(ReadString(&reader, &request.tenant));
-  }
+  PPM_RETURN_IF_ERROR(ReadString(&reader, &request.tenant));
   PPM_RETURN_IF_ERROR(ReadString(&reader, &request.name));
   switch (request.op) {
     case Op::kPut:
@@ -217,13 +216,10 @@ void PutResultSection(std::string* out, uint64_t num_periods, uint32_t period,
   }
 }
 
-std::string EncodeResponse(const Response& response) {
-  return EncodeResponse(response, 1);
-}
-
 std::string EncodeResponse(const Response& response, uint8_t version) {
+  PPM_CHECK(version == 2);
   std::string out;
-  if (version >= 2) PutU8(&out, kV2Marker);
+  PutU8(&out, kV2Marker);
   PutU8(&out, response.code);
   PutString(&out, response.message);
   PutU8(&out, response.cache_outcome);
@@ -239,23 +235,17 @@ std::string EncodeResponse(const Response& response, uint8_t version) {
   if (response.has_series) PutSeries(&out, response.series);
   PutString(&out, response.stats_json);
   PutString(&out, response.metrics_prom);
-  if (version >= 2) {
-    PutU32(&out, response.retry_after_ms);
-    PutU8(&out, response.ready_state);
-    PutString(&out, response.health_json);
-  }
+  PutU32(&out, response.retry_after_ms);
+  PutU8(&out, response.ready_state);
+  PutString(&out, response.health_json);
   return out;
 }
 
 Result<Response> DecodeResponse(std::string_view payload) {
   bytes::ByteReader reader(payload);
   Response response;
-  uint8_t version = 1;
+  PPM_RETURN_IF_ERROR(ReadMarker(&reader));
   if (!reader.ReadU8(&response.code)) return Truncated();
-  if (response.code == kV2Marker) {
-    version = 2;
-    if (!reader.ReadU8(&response.code)) return Truncated();
-  }
   PPM_RETURN_IF_ERROR(ReadString(&reader, &response.message));
   uint32_t num_symbols = 0;
   if (!(reader.ReadU8(&response.cache_outcome) &&
@@ -287,9 +277,9 @@ Result<Response> DecodeResponse(std::string_view payload) {
       if (!(reader.ReadU32(&position) && reader.ReadU32(&feature))) {
         return Truncated();
       }
-      if (position >= response.period && response.period != 0) {
+      if (position >= response.period || feature >= num_symbols) {
         return Status::InvalidArgument(
-            "letter position out of range in PPMRPC1 response");
+            "letter outside the period or symbol list in PPMRPC1 response");
       }
       pattern.letters.emplace_back(position, feature);
     }
@@ -307,13 +297,11 @@ Result<Response> DecodeResponse(std::string_view payload) {
   }
   PPM_RETURN_IF_ERROR(ReadString(&reader, &response.stats_json));
   PPM_RETURN_IF_ERROR(ReadString(&reader, &response.metrics_prom));
-  if (version >= 2) {
-    if (!(reader.ReadU32(&response.retry_after_ms) &&
-          reader.ReadU8(&response.ready_state))) {
-      return Truncated();
-    }
-    PPM_RETURN_IF_ERROR(ReadString(&reader, &response.health_json));
+  if (!(reader.ReadU32(&response.retry_after_ms) &&
+        reader.ReadU8(&response.ready_state))) {
+    return Truncated();
   }
+  PPM_RETURN_IF_ERROR(ReadString(&reader, &response.health_json));
   if (!reader.exhausted()) {
     return Status::InvalidArgument("trailing bytes in PPMRPC1 response");
   }

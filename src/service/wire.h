@@ -28,18 +28,16 @@ namespace ppm::service::wire {
 ///
 /// Payload scalars are little-endian; strings are u32 length + bytes;
 /// doubles travel as their IEEE-754 bit pattern in a u64. Decoders validate
-/// every length against the remaining payload and every feature id against
-/// the symbol table, so a malformed or truncated frame yields
-/// `kInvalidArgument`/`kCorruption`, never out-of-bounds access.
+/// every length against the remaining payload, every feature id against
+/// the symbol table and every pattern position against the period, so a
+/// malformed or truncated frame yields `kInvalidArgument`/`kCorruption`,
+/// never out-of-bounds access.
 ///
-/// Payload versioning: the original (v1) request payload starts with the
-/// `op` byte. The multi-tenant revision (v2) starts with the marker byte
-/// `kV2Marker` (0xFF, never a valid op or status code) and adds a tenant id
-/// to requests plus retry-after / readiness fields to responses. Decoders
-/// auto-detect the layout from the first byte, so a new server accepts old
-/// clients (their requests map to the default tenant) and answers them in
-/// the layout they spoke; an old server answers a v2 frame with a clean
-/// "unknown op" error.
+/// Payload layout: every payload starts with the marker byte `kV2Marker`
+/// (0xFF, never a valid op or status code), then the request's op or the
+/// response's status code. Requests carry a tenant id; responses carry
+/// retry-after / readiness fields. This layout (once called v2) is the only
+/// one: a payload without the marker is `kInvalidArgument`.
 inline constexpr char kMagic[8] = {'P', 'P', 'M', 'R', 'P', 'C', '1', '\n'};
 inline constexpr uint32_t kMaxFramePayloadBytes = 1u << 26;
 inline constexpr uint8_t kV2Marker = 0xff;
@@ -52,9 +50,9 @@ enum class Op : uint8_t {
   kQuery = 5,
   kStats = 6,
   kShutdown = 7,
-  /// v2-only: liveness probe, always answered -- even while shedding.
+  /// Liveness probe, always answered -- even while shedding.
   kHealth = 8,
-  /// v2-only: readiness probe; non-OK while draining or shedding.
+  /// Readiness probe; non-OK while draining or shedding.
   kReady = 9,
 };
 
@@ -76,8 +74,8 @@ struct Request {
   /// subtracted from the mining budget and an overdue request returns
   /// `kDeadlineExceeded` without disturbing other in-flight requests.
   uint32_t deadline_ms = 0;
-  /// v2: tenant id the request is accounted and rate-limited under; empty
-  /// (and every v1 request) maps to the default tenant.
+  /// Tenant id the request is accounted and rate-limited under; empty maps
+  /// to the default tenant.
   std::string tenant;
   std::string name;
 
@@ -92,12 +90,9 @@ struct Request {
   double min_confidence = 0.8;
   uint64_t min_count = 0;
   uint32_t max_letters = 0;
-  /// Cast of `ppm::Algorithm`.
+  /// Cast of `ppm::Algorithm`. Every query is served by the hit-set
+  /// miner, so the server only range-checks it.
   uint8_t algorithm = 1;
-
-  /// Layout the request was decoded from (1 or 2); responses are encoded
-  /// in the same layout so old clients never see fields they cannot parse.
-  uint8_t wire_version = 1;
 };
 
 /// One mined pattern on the wire: its letters as (position, feature-id)
@@ -136,21 +131,16 @@ struct Response {
   std::string stats_json;
   std::string metrics_prom;
 
-  /// v2 only. On a `kResourceExhausted` rejection, a structured hint: the
-  /// server's estimate of when a retry could be admitted (0 = no hint).
+  /// On a `kResourceExhausted` rejection, a structured hint: the server's
+  /// estimate of when a retry could be admitted (0 = no hint).
   uint32_t retry_after_ms = 0;
-  /// v2 only: cast of `ReadyState`, stamped on every v2 response.
+  /// Cast of `ReadyState`, stamped on every response.
   uint8_t ready_state = 0;
-  /// v2 only: kHealth/kReady detail (queue depth, tenants, cache pressure).
+  /// kHealth/kReady detail (queue depth, tenants, cache pressure).
   std::string health_json;
 };
 
-/// Picks v2 when the request uses v2-only features (a tenant id or a
-/// health/ready op), v1 otherwise -- so a plain `ppm client` exercises the
-/// v1 compatibility path against a new server.
 std::string EncodeRequest(const Request& request);
-/// Encodes in an explicit layout (tests and version-pinned callers).
-std::string EncodeRequest(const Request& request, uint8_t version);
 Result<Request> DecodeRequest(std::string_view payload);
 
 /// The patterns of `result` as wire letters, position-major with ascending
@@ -165,8 +155,8 @@ void PutResultSection(std::string* out, uint64_t num_periods, uint32_t period,
                       const std::vector<std::string>& symbols,
                       const std::vector<WirePattern>& patterns);
 
-std::string EncodeResponse(const Response& response);  // v1 layout
-std::string EncodeResponse(const Response& response, uint8_t version);
+/// `version` must be 2, the only layout.
+std::string EncodeResponse(const Response& response, uint8_t version = 2);
 Result<Response> DecodeResponse(std::string_view payload);
 
 /// Writes the 8-byte magic / one CRC-framed payload to `fd`, retrying

@@ -388,7 +388,8 @@ uint64_t ContinuousMiner::ApproxMemoryBytes() const {
   return total;
 }
 
-MiningResult ContinuousMiner::Snapshot() const {
+Result<MiningResult> ContinuousMiner::Snapshot(
+    const Interrupt& interrupt) const {
   obs::TraceSpan span = obs::Tracer::Global().StartSpan("stream.snapshot");
   snapshots_counter_.Inc();
   const uint64_t effective = effective_segments();
@@ -401,23 +402,9 @@ MiningResult ContinuousMiner::Snapshot() const {
   f1.min_count = options_.EffectiveMinCount(effective);
   f1.space = space_;
   f1.letter_counts = seeded_counts_;
-
-  // A snapshot honors the run's interrupt: when it fires mid-derivation the
-  // snapshot simply carries the levels finished so far (each individually
-  // correct), since `Snapshot` has no error channel.
-  const DerivationStats derivation = DeriveFrequentPatterns(
-      f1, options_.max_letters,
-      [this](const Bitset& mask) { return store_->CountSuperpatterns(mask); },
-      &result, nullptr, options_.interrupt());
-  result.Canonicalize();
-  result.stats().num_f1_letters = space_.size();
-  result.stats().candidates_evaluated = derivation.candidates_evaluated;
-  result.stats().max_level_reached = derivation.max_level_reached;
-  result.stats().hit_store_entries = store_->num_entries();
-  result.stats().tree_nodes =
-      options_.hit_store == HitStoreKind::kMaxSubpatternTree
-          ? store_->num_units()
-          : 0;
+  PPM_RETURN_IF_ERROR(DeriveFromHitStore(f1, *store_, options_.hit_store,
+                                         options_.max_letters, nullptr,
+                                         interrupt, nullptr, &result));
   obs::MetricsRegistry::Global()
       .GetGauge("ppm.resource.hit_store_bytes")
       .Set(store_->ApproxMemoryBytes());

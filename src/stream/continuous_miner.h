@@ -15,6 +15,7 @@
 #include "core/mining_result.h"
 #include "obs/metrics.h"
 #include "tsdb/time_series.h"
+#include "util/cancellation.h"
 #include "util/status.h"
 
 namespace ppm::stream {
@@ -149,8 +150,12 @@ class ContinuousMiner {
   void Append(const tsdb::FeatureSet& instant);
 
   /// Derives the currently frequent patterns over the seeded letter space
-  /// and the effective window. Cost is independent of the stream length.
-  MiningResult Snapshot() const;
+  /// and the effective window through `DeriveFromHitStore`, the batch
+  /// miners' own tail. Cost is independent of the stream length. The call
+  /// polls `interrupt` -- the caller's, never the `cancel`/`deadline` of the
+  /// options the miner was created with -- and returns its status when it
+  /// fires, never a truncated pattern set.
+  Result<MiningResult> Snapshot(const Interrupt& interrupt = Interrupt()) const;
 
   /// Unseeded letters whose exact count meets the frequency threshold over
   /// the drift horizon: non-empty means the seeded space is stale and

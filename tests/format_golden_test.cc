@@ -236,25 +236,12 @@ service::wire::Response TinyResponse() {
   return response;
 }
 
-TEST(WireGoldenTest, RequestV1) {
-  EXPECT_EQ(Digest(service::wire::EncodeRequest(PutRequest(), 1)),
-            "78:0518e9e5");
-  EXPECT_EQ(Hex(service::wire::EncodeRequest(QueryRequest(), 1)),
-            "0500000000010000007302000000000000000000e43f01000000000000000300"
-            "000001");
-}
-
 TEST(WireGoldenTest, RequestV2) {
-  EXPECT_EQ(Digest(service::wire::EncodeRequest(PutRequest(), 2)),
+  EXPECT_EQ(Digest(service::wire::EncodeRequest(PutRequest())),
             "83:f3db6bb5");
-  EXPECT_EQ(Hex(service::wire::EncodeRequest(QueryRequest(), 2)),
+  EXPECT_EQ(Hex(service::wire::EncodeRequest(QueryRequest())),
             "ff0500000000020000007431010000007302000000000000000000e43f010000"
             "00000000000300000001");
-}
-
-TEST(WireGoldenTest, ResponseV1) {
-  EXPECT_EQ(Digest(service::wire::EncodeResponse(TinyResponse(), 1)),
-            "179:b830ccce");
 }
 
 TEST(WireGoldenTest, ResponseV2) {

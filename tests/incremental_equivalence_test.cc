@@ -125,7 +125,7 @@ void RunSchedule(const Workload& w, const std::string& checkpoint_dir,
     const uint64_t committed = miner->segments_committed();
     const uint64_t effective = miner->effective_segments();
     ASSERT_LE(committed * period, appended.size());
-    const MiningResult incremental = miner->Snapshot();
+    const MiningResult incremental = miner->Snapshot().value();
     if (effective == 0) {
       EXPECT_EQ(incremental.size(), 0u) << "seed=" << w.seed;
       return;
@@ -249,7 +249,7 @@ TEST_F(IncrementalEquivalenceTest, WindowRollsMatchBatchAtEveryFillLevel) {
     const auto batch = diff::BatchMineWindow(
         window, w.options, (*miner)->space().letters(), 1);
     ASSERT_TRUE(batch.status().ok()) << batch.status().ToString();
-    EXPECT_EQ(diff::Serialize((*miner)->Snapshot(), symbols),
+    EXPECT_EQ(diff::Serialize((*miner)->Snapshot().value(), symbols),
               diff::Serialize(*batch, symbols))
         << "segment=" << segment;
   }

@@ -527,79 +527,152 @@ TEST_F(PatternServerTest, CachedPayloadsAreByteIdenticalToStructuredEncode) {
   auto server = StartServer();
   auto client = Client::Connect(socket_);
   ASSERT_TRUE(client.ok());
-  for (const uint8_t version : {1, 2}) {
-    const std::string name = "s" + std::to_string(version);
+  wire::Request put;
+  put.op = wire::Op::kPut;
+  put.name = "s";
+  for (uint32_t s = 0; s < 30; ++s) {
+    put.series.AppendNamed({"a"});
+    if (s % 3 != 0) {
+      put.series.AppendNamed({"b", "c"});
+    } else {
+      put.series.AppendNamed({});
+    }
+    put.series.AppendNamed({});
+    if (s % 2 == 0) {
+      put.series.AppendNamed({"d"});
+    } else {
+      put.series.AppendNamed({});
+    }
+  }
+  ASSERT_EQ((*client)->Call(put)->code, 0);
+
+  wire::Request query = QueryRequest("s", 4);
+  query.min_confidence = 0.3;
+  query.tenant = "t";
+  ::ppm::service::QueryRequest local;
+  local.series = "s";
+  local.period = 4;
+  local.min_confidence = 0.3;
+
+  RawPeer peer(socket_);
+  ASSERT_TRUE(peer.ok());
+  ASSERT_TRUE(peer.Handshake());
+  const auto served_payload = [&]() {
+    EXPECT_TRUE(peer.Send(wire::EncodeFrame(wire::EncodeRequest(query))));
+    return peer.ReadResponsePayload();
+  };
+  // Each socket answer is compared with the same memo re-read in process
+  // (a hit at the same version) and encoded field by field.
+  const auto expected_payload = [&](PatternCache::Outcome outcome) {
+    auto served = server->service().Query(local);
+    EXPECT_TRUE(served.ok());
+    return wire::EncodeResponse(
+        StructuredResponse(*served, static_cast<uint8_t>(outcome), 4));
+  };
+
+  const std::string miss = served_payload();
+  EXPECT_EQ(miss, expected_payload(PatternCache::Outcome::kMiss));
+  const std::string hit = served_payload();
+  EXPECT_EQ(hit, expected_payload(PatternCache::Outcome::kHit));
+
+  wire::Request append;
+  append.op = wire::Op::kAppend;
+  append.name = "s";
+  append.instants = {{"a"}, {"b", "c"}, {}, {"d"}};
+  ASSERT_EQ((*client)->Call(append)->code, 0);
+  const std::string refresh = served_payload();
+  EXPECT_EQ(refresh, expected_payload(PatternCache::Outcome::kRefresh));
+
+  auto decoded = wire::DecodeResponse(refresh);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(decoded->cache_outcome,
+            static_cast<uint8_t>(PatternCache::Outcome::kRefresh));
+  EXPECT_EQ(decoded->num_periods, 31u);
+  EXPECT_GT(decoded->patterns.size(), 4u);
+
+  // Consecutive hits share one memo.
+  auto first = server->service().Query(local);
+  auto second = server->service().Query(local);
+  ASSERT_TRUE(first.ok() && second.ok());
+  EXPECT_EQ(first->memo.get(), second->memo.get());
+
+  server->RequestStop();
+  server->Wait();
+}
+
+TEST_F(PatternServerTest, AlgorithmByteDoesNotSplitTheCache) {
+  // Every query is served by the hit-set miner, so two queries that differ
+  // only in the algorithm byte share one cache entry.
+  auto server = StartServer();
+  auto client = Client::Connect(socket_);
+  ASSERT_TRUE(client.ok());
+  wire::Request put;
+  put.op = wire::Op::kPut;
+  put.name = "s";
+  put.series = PeriodicSeries(4, 10);
+  ASSERT_EQ((*client)->Call(put)->code, 0);
+
+  wire::Request hitset = QueryRequest("s", 4);
+  hitset.algorithm = 1;
+  auto first = (*client)->Call(hitset);
+  ASSERT_TRUE(first.ok());
+  ASSERT_EQ(first->code, 0) << first->message;
+  EXPECT_EQ(first->cache_outcome, 0);  // miss
+
+  wire::Request apriori = QueryRequest("s", 4);
+  apriori.algorithm = 0;
+  auto second = (*client)->Call(apriori);
+  ASSERT_TRUE(second.ok());
+  ASSERT_EQ(second->code, 0) << second->message;
+  EXPECT_EQ(second->cache_outcome, 1);  // hit
+  EXPECT_EQ(second->patterns.size(), first->patterns.size());
+
+  server->RequestStop();
+  server->Wait();
+}
+
+TEST_F(PatternServerTest, FormerV1RequestIsRejectedInV2AndConnectionSurvives) {
+  auto server = StartServer();
+  {
+    auto client = Client::Connect(socket_);
+    ASSERT_TRUE(client.ok());
     wire::Request put;
     put.op = wire::Op::kPut;
-    put.name = name;
-    for (uint32_t s = 0; s < 30; ++s) {
-      put.series.AppendNamed({"a"});
-      if (s % 3 != 0) {
-        put.series.AppendNamed({"b", "c"});
-      } else {
-        put.series.AppendNamed({});
-      }
-      put.series.AppendNamed({});
-      if (s % 2 == 0) {
-        put.series.AppendNamed({"d"});
-      } else {
-        put.series.AppendNamed({});
-      }
-    }
+    put.name = "s";
+    put.series = PeriodicSeries(4, 10);
     ASSERT_EQ((*client)->Call(put)->code, 0);
-
-    wire::Request query = QueryRequest(name, 4);
-    query.min_confidence = 0.3;
-    if (version == 2) query.tenant = "t";
-    ::ppm::service::QueryRequest local;
-    local.series = name;
-    local.period = 4;
-    local.min_confidence = 0.3;
-
-    RawPeer peer(socket_);
-    ASSERT_TRUE(peer.ok());
-    ASSERT_TRUE(peer.Handshake());
-    const auto served_payload = [&]() {
-      EXPECT_TRUE(
-          peer.Send(wire::EncodeFrame(wire::EncodeRequest(query, version))));
-      return peer.ReadResponsePayload();
-    };
-    // Each socket answer is compared with the same memo re-read in process
-    // (a hit at the same version) and encoded field by field.
-    const auto expected_payload = [&](PatternCache::Outcome outcome) {
-      auto served = server->service().Query(local);
-      EXPECT_TRUE(served.ok());
-      return wire::EncodeResponse(
-          StructuredResponse(*served, static_cast<uint8_t>(outcome), 4),
-          version);
-    };
-
-    const std::string miss = served_payload();
-    EXPECT_EQ(miss, expected_payload(PatternCache::Outcome::kMiss));
-    const std::string hit = served_payload();
-    EXPECT_EQ(hit, expected_payload(PatternCache::Outcome::kHit));
-
-    wire::Request append;
-    append.op = wire::Op::kAppend;
-    append.name = name;
-    append.instants = {{"a"}, {"b", "c"}, {}, {"d"}};
-    ASSERT_EQ((*client)->Call(append)->code, 0);
-    const std::string refresh = served_payload();
-    EXPECT_EQ(refresh, expected_payload(PatternCache::Outcome::kRefresh));
-
-    auto decoded = wire::DecodeResponse(refresh);
-    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-    EXPECT_EQ(decoded->cache_outcome,
-              static_cast<uint8_t>(PatternCache::Outcome::kRefresh));
-    EXPECT_EQ(decoded->num_periods, 31u);
-    EXPECT_GT(decoded->patterns.size(), 4u);
-
-    // Consecutive hits share one memo.
-    auto first = server->service().Query(local);
-    auto second = server->service().Query(local);
-    ASSERT_TRUE(first.ok() && second.ok());
-    EXPECT_EQ(first->memo.get(), second->memo.get());
   }
+  RawPeer peer(socket_);
+  ASSERT_TRUE(peer.ok());
+  ASSERT_TRUE(peer.Handshake());
+
+  // The retired v1 query layout, by hand: op, deadline_ms, name, then the
+  // query parameters -- no marker byte and no tenant.
+  std::string v1;
+  v1 += static_cast<char>(wire::Op::kQuery);
+  v1 += LittleEndian32(0);  // deadline_ms
+  v1 += LittleEndian32(1) + "s";
+  v1 += LittleEndian32(4);                                  // period
+  v1 += std::string("\x9a\x99\x99\x99\x99\x99\xe9\x3f", 8);  // 0.8
+  v1 += std::string(8, '\0');                              // min_count
+  v1 += LittleEndian32(0);                                  // max_letters
+  v1 += static_cast<char>(1);                               // algorithm
+  ASSERT_TRUE(peer.Send(wire::EncodeFrame(v1)));
+  const std::string rejected_payload = peer.ReadResponsePayload();
+  ASSERT_FALSE(rejected_payload.empty());
+  EXPECT_EQ(static_cast<uint8_t>(rejected_payload[0]), wire::kV2Marker);
+  auto rejected = wire::DecodeResponse(rejected_payload);
+  ASSERT_TRUE(rejected.ok()) << rejected.status().ToString();
+  EXPECT_EQ(rejected->code,
+            static_cast<uint8_t>(StatusCode::kInvalidArgument));
+
+  ASSERT_TRUE(peer.Send(
+      wire::EncodeFrame(wire::EncodeRequest(QueryRequest("s", 4)))));
+  auto served = wire::DecodeResponse(peer.ReadResponsePayload());
+  ASSERT_TRUE(served.ok()) << served.status().ToString();
+  EXPECT_EQ(served->code, 0) << served->message;
+  EXPECT_EQ(served->num_periods, 10u);
+  EXPECT_EQ(served->patterns.size(), 1u);
 
   server->RequestStop();
   server->Wait();

@@ -307,7 +307,7 @@ TEST(ScanAccountingTest, WalReplayIsOnePassAndSnapshotIsZero) {
       stream::ContinuousMiner::SeedFromPrefix(HitsetOptions(20), data.series);
   ASSERT_TRUE(miner.status().ok()) << miner.status().ToString();
   registry.Reset();
-  (*miner)->Snapshot();
+  (*miner)->Snapshot().value();
   snapshot = registry.Snapshot();
   EXPECT_EQ(CounterValue(snapshot, "ppm.scan.db_passes"), 0u);
   std::filesystem::remove(path);

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <filesystem>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "core/hitset_miner.h"
 #include "diff_harness.h"
@@ -101,15 +104,12 @@ wire::Response WireOf(const PatternCache::Response& served, uint32_t period,
 }
 
 /// Every served outcome's memo section encodes byte-identically to the
-/// structured response, in both payload layouts.
+/// structured response.
 void ExpectSectionMatchesStructured(const PatternCache::Response& served,
                                     uint32_t period) {
-  for (const uint8_t version : {1, 2}) {
-    EXPECT_EQ(wire::EncodeResponse(WireOf(served, period, true), version),
-              wire::EncodeResponse(WireOf(served, period, false), version))
-        << "outcome " << static_cast<int>(served.outcome) << " version "
-        << static_cast<int>(version);
-  }
+  EXPECT_EQ(wire::EncodeResponse(WireOf(served, period, true)),
+            wire::EncodeResponse(WireOf(served, period, false)))
+      << "outcome " << static_cast<int>(served.outcome);
 }
 
 TEST_F(PatternCacheTest, MissHitRefreshLifecycle) {
@@ -199,7 +199,7 @@ TEST_F(PatternCacheTest, ServedSectionsAreByteIdenticalAndShared) {
       BatchMine("s", config.period, config.min_confidence, &old_symbols),
       old_symbols);
   const std::string held_payload =
-      wire::EncodeResponse(WireOf(*hit, config.period, true), 2);
+      wire::EncodeResponse(WireOf(*hit, config.period, true));
   ASSERT_TRUE(store_->Append("s", {{"f0"}, {"f1", "f0"}}).ok());
   auto refresh = cache.Serve(request);
   ASSERT_TRUE(refresh.ok());
@@ -208,7 +208,7 @@ TEST_F(PatternCacheTest, ServedSectionsAreByteIdenticalAndShared) {
   ExpectSectionMatchesStructured(*refresh, config.period);
 
   EXPECT_EQ(diff::Serialize(hit->result, hit->symbols), old_patterns);
-  EXPECT_EQ(wire::EncodeResponse(WireOf(*hit, config.period, true), 2),
+  EXPECT_EQ(wire::EncodeResponse(WireOf(*hit, config.period, true)),
             held_payload);
   auto decoded = wire::DecodeResponse(held_payload);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
@@ -216,6 +216,91 @@ TEST_F(PatternCacheTest, ServedSectionsAreByteIdenticalAndShared) {
   EXPECT_LT(decoded->version, refresh->version);
   EXPECT_EQ(decoded->num_periods, hit->result.stats().num_periods);
   EXPECT_EQ(decoded->patterns.size(), hit->result.size());
+}
+
+TEST_F(PatternCacheTest, SeedingRequestInterruptDoesNotOutliveIt) {
+  // The request that seeds the resident miner carries a token (first pass)
+  // or a deadline (second pass) that fires after it returns. Later queries
+  // carry neither, so the refresh and the hit after it must serve the
+  // complete set a batch mine of the same snapshot finds.
+  PatternCache cache(store_.get(), 0);
+  Wire(&cache);
+  const diff::DiffConfig config = diff::RandomDiffConfig(2);
+  const tsdb::TimeSeries series = diff::MakeRandomSeries(config);
+  ASSERT_TRUE(store_->Put("s", series).ok());
+  std::vector<std::vector<std::string>> segment(config.period);
+  for (uint32_t position = 0; position < config.period; ++position) {
+    series.at(position).ForEach([&](uint32_t id) {
+      segment[position].push_back(series.symbols().NameOrPlaceholder(id));
+    });
+  }
+
+  for (const bool use_deadline : {false, true}) {
+    SCOPED_TRACE(use_deadline ? "deadline" : "token");
+    auto seeding = MakeRequest("s", config.period, config.min_confidence);
+    seeding.force_rebuild = true;  // Reseed the resident miner.
+    if (use_deadline) seeding.options.deadline = Deadline::After(200);
+    auto seeded = cache.Serve(seeding);
+    ASSERT_TRUE(seeded.ok()) << seeded.status().ToString();
+    ASSERT_EQ(seeded->outcome, PatternCache::Outcome::kMiss);
+    if (use_deadline) {
+      while (!seeding.options.deadline.expired()) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+      }
+    } else {
+      seeding.options.cancel.Cancel();
+    }
+
+    ASSERT_TRUE(store_->Append("s", segment).ok());
+    tsdb::SymbolTable batch_symbols;
+    const MiningResult batch = BatchMine(
+        "s", config.period, config.min_confidence, &batch_symbols);
+    ASSERT_FALSE(batch.empty());
+    const auto request =
+        MakeRequest("s", config.period, config.min_confidence);
+    auto refresh = cache.Serve(request);
+    ASSERT_TRUE(refresh.ok()) << refresh.status().ToString();
+    EXPECT_EQ(refresh->outcome, PatternCache::Outcome::kRefresh);
+    EXPECT_EQ(diff::Serialize(refresh->result, refresh->symbols),
+              diff::Serialize(batch, batch_symbols));
+    auto hit = cache.Serve(request);
+    ASSERT_TRUE(hit.ok()) << hit.status().ToString();
+    EXPECT_EQ(hit->outcome, PatternCache::Outcome::kHit);
+    EXPECT_EQ(diff::Serialize(hit->result, hit->symbols),
+              diff::Serialize(batch, batch_symbols));
+  }
+}
+
+TEST_F(PatternCacheTest, InterruptedDerivationStoresNoMemo) {
+  PatternCache cache(store_.get(), 0);
+  Wire(&cache);
+  const diff::DiffConfig config = diff::RandomDiffConfig(2);
+  const tsdb::TimeSeries series = diff::MakeRandomSeries(config);
+  ASSERT_TRUE(store_->Put("s", series).ok());
+  const auto request = MakeRequest("s", config.period, config.min_confidence);
+  ASSERT_TRUE(cache.Serve(request).ok());
+  ASSERT_TRUE(store_->Append("s", {{"f0"}, {"f1", "f0"}}).ok());
+
+  // A refresh whose derivation is interrupted fails with the interrupt's
+  // status and memoizes nothing, so the next query refreshes again.
+  auto cancelled = MakeRequest("s", config.period, config.min_confidence);
+  cancelled.options.cancel.Cancel();
+  EXPECT_EQ(cache.Serve(cancelled).status().code(), StatusCode::kCancelled);
+  auto refresh = cache.Serve(request);
+  ASSERT_TRUE(refresh.ok()) << refresh.status().ToString();
+  EXPECT_EQ(refresh->outcome, PatternCache::Outcome::kRefresh);
+  tsdb::SymbolTable batch_symbols;
+  const MiningResult batch = BatchMine("s", config.period,
+                                       config.min_confidence, &batch_symbols);
+  EXPECT_EQ(diff::Serialize(refresh->result, refresh->symbols),
+            diff::Serialize(batch, batch_symbols));
+
+  // An interrupted miss keeps no memo either: the next query misses.
+  ASSERT_TRUE(store_->Put("s", series).ok());
+  EXPECT_EQ(cache.Serve(cancelled).status().code(), StatusCode::kCancelled);
+  auto miss = cache.Serve(request);
+  ASSERT_TRUE(miss.ok()) << miss.status().ToString();
+  EXPECT_EQ(miss->outcome, PatternCache::Outcome::kMiss);
 }
 
 TEST_F(PatternCacheTest, PutInvalidatesToMiss) {

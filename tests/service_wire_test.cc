@@ -117,26 +117,23 @@ TEST(WireTest, V2RequestCarriesTenantAndRoundTrips) {
   EXPECT_EQ(static_cast<uint8_t>(encoded[0]), kV2Marker);
   auto decoded = DecodeRequest(encoded);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_EQ(decoded->wire_version, 2);
   EXPECT_EQ(decoded->tenant, "team-alpha");
   EXPECT_EQ(decoded->op, Op::kMine);
   EXPECT_EQ(decoded->name, "sensor.42");
   EXPECT_EQ(decoded->min_confidence, 0.625);
 }
 
-TEST(WireTest, V1RequestStaysByteCompatible) {
-  // A request with no v2 features must encode in the original layout: no
-  // marker byte, op first -- an old server keeps understanding new clients.
+TEST(WireTest, EveryRequestCarriesTheMarker) {
+  // No tenant and no v2-only op: still the one layout, marker first.
   const Request request = MakeMineRequest();
   const std::string encoded = EncodeRequest(request);
-  EXPECT_EQ(static_cast<uint8_t>(encoded[0]), static_cast<uint8_t>(Op::kMine));
+  EXPECT_EQ(static_cast<uint8_t>(encoded[0]), kV2Marker);
   auto decoded = DecodeRequest(encoded);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_EQ(decoded->wire_version, 1);
   EXPECT_TRUE(decoded->tenant.empty());
 }
 
-TEST(WireTest, HealthAndReadyOpsAreV2Only) {
+TEST(WireTest, HealthAndReadyOpsRoundTrip) {
   for (const Op op : {Op::kHealth, Op::kReady}) {
     Request request;
     request.op = op;
@@ -145,10 +142,26 @@ TEST(WireTest, HealthAndReadyOpsAreV2Only) {
     auto decoded = DecodeRequest(encoded);
     ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
     EXPECT_EQ(decoded->op, op);
-    // The same op in a v1 layout is out of range for a v1 decoder.
-    auto v1 = DecodeRequest(EncodeRequest(request, 1));
-    EXPECT_FALSE(v1.ok());
   }
+}
+
+TEST(WireTest, UnmarkedPayloadsAreRejected) {
+  // The retired v1 layout: no marker byte, no tenant and no trailing
+  // retry-after / readiness fields. A v1 `stats` request is op 6, a zero
+  // deadline and an empty name.
+  const std::string v1_request = std::string("\x06", 1) + std::string(8, '\0');
+  auto decoded = DecodeRequest(v1_request);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
+
+  // A v1 empty OK response is all zeros: code, message, cache outcome,
+  // version, length, the result section (num_periods, period, no symbols,
+  // no patterns), has_series, stats_json and metrics_prom.
+  const std::string v1_response(1 + 4 + 1 + 8 + 8 + 8 + 4 + 4 + 8 + 1 + 4 + 4,
+                                '\0');
+  auto decoded_response = DecodeResponse(v1_response);
+  ASSERT_FALSE(decoded_response.ok());
+  EXPECT_EQ(decoded_response.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(WireTest, V2ResponseCarriesRetryHintAndReadyState) {
@@ -158,7 +171,7 @@ TEST(WireTest, V2ResponseCarriesRetryHintAndReadyState) {
   response.retry_after_ms = 250;
   response.ready_state = static_cast<uint8_t>(ReadyState::kShedding);
   response.health_json = "{\"queue_depth\":9}";
-  const std::string encoded = EncodeResponse(response, 2);
+  const std::string encoded = EncodeResponse(response);
   EXPECT_EQ(static_cast<uint8_t>(encoded[0]), kV2Marker);
   auto decoded = DecodeResponse(encoded);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
@@ -166,18 +179,6 @@ TEST(WireTest, V2ResponseCarriesRetryHintAndReadyState) {
   EXPECT_EQ(decoded->retry_after_ms, 250u);
   EXPECT_EQ(decoded->ready_state, static_cast<uint8_t>(ReadyState::kShedding));
   EXPECT_EQ(decoded->health_json, "{\"queue_depth\":9}");
-}
-
-TEST(WireTest, V1ResponseDropsV2FieldsAndStaysCompatible) {
-  Response response;
-  response.code = 0;
-  response.retry_after_ms = 999;  // Must not leak into a v1 payload.
-  const std::string v1 = EncodeResponse(response, 1);
-  EXPECT_EQ(v1, EncodeResponse(response));
-  auto decoded = DecodeResponse(v1);
-  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_EQ(decoded->retry_after_ms, 0u);
-  EXPECT_EQ(decoded->ready_state, 0);
 }
 
 TEST(WireTest, V2TruncatedPayloadIsRejectedAtEveryPrefix) {
@@ -194,7 +195,7 @@ TEST(WireTest, V2TruncatedPayloadIsRejectedAtEveryPrefix) {
   response.code = 10;
   response.retry_after_ms = 100;
   response.health_json = "{}";
-  const std::string resp = EncodeResponse(response, 2);
+  const std::string resp = EncodeResponse(response);
   for (size_t len = 0; len < resp.size(); ++len) {
     auto decoded = DecodeResponse(std::string_view(resp.data(), len));
     EXPECT_FALSE(decoded.ok()) << "prefix length " << len;
@@ -217,6 +218,30 @@ TEST(WireTest, TrailingGarbageIsRejected) {
   std::string encoded = EncodeRequest(MakeMineRequest());
   encoded += '\0';
   EXPECT_FALSE(DecodeRequest(encoded).ok());
+}
+
+TEST(WireTest, ResponseLetterOutsideSymbolsOrPeriodIsRejected) {
+  Response response;
+  response.period = 4;
+  response.symbols = {"a"};
+  WirePattern pattern;
+  pattern.letters = {{0, 0}};
+  pattern.count = 1;
+  response.patterns.push_back(pattern);
+  ASSERT_TRUE(DecodeResponse(EncodeResponse(response)).ok());
+
+  // Feature 5 against a one-symbol list.
+  response.patterns[0].letters = {{0, 5}};
+  auto bad_feature = DecodeResponse(EncodeResponse(response));
+  ASSERT_FALSE(bad_feature.ok());
+  EXPECT_EQ(bad_feature.status().code(), StatusCode::kInvalidArgument);
+
+  // A period of 0 admits no position at all.
+  response.period = 0;
+  response.patterns[0].letters = {{3, 0}};
+  auto bad_position = DecodeResponse(EncodeResponse(response));
+  ASSERT_FALSE(bad_position.ok());
+  EXPECT_EQ(bad_position.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(WireTest, OutOfRangeFeatureIdIsRejected) {

@@ -142,8 +142,8 @@ TEST(CheckpointStateTest, ExportRestoreRoundTripAtEveryCutKind) {
       (*restored)->Append(series.at(t));
     }
     ExpectStatesEqual((*restored)->ExportState(), original->ExportState());
-    EXPECT_EQ((*restored)->Snapshot().ToString(series.symbols()),
-              original->Snapshot().ToString(series.symbols()));
+    EXPECT_EQ((*restored)->Snapshot().value().ToString(series.symbols()),
+              original->Snapshot().value().ToString(series.symbols()));
     EXPECT_EQ((*restored)->DriftedLetters(), original->DriftedLetters());
   }
 }
@@ -299,8 +299,8 @@ TEST(CheckpointStateTest, ContinuousExportRestoreRoundTripsWithWindow) {
       (*restored)->Append(series.at(t));
     }
     ExpectStatesEqual((*restored)->ExportState(), original->ExportState());
-    EXPECT_EQ((*restored)->Snapshot().ToString(series.symbols()),
-              original->Snapshot().ToString(series.symbols()));
+    EXPECT_EQ((*restored)->Snapshot().value().ToString(series.symbols()),
+              original->Snapshot().value().ToString(series.symbols()));
     EXPECT_EQ((*restored)->segments_evicted(), original->segments_evicted());
   }
 }
@@ -411,7 +411,7 @@ TEST_F(CheckpointDirTest, VersionOneCheckpointRestoresAsWholeHistory) {
     tsdb::InMemorySeriesSource source(&whole);
     const auto batch = MineHitSet(source, batch_options);
     ASSERT_TRUE(batch.ok()) << batch.status();
-    const MiningResult snapshot = miner.Snapshot();
+    const MiningResult snapshot = miner.Snapshot().value();
     EXPECT_GT(snapshot.size(), 3u);
     EXPECT_EQ(snapshot.ToString(series.symbols()),
               batch->ToString(series.symbols()));
@@ -468,7 +468,7 @@ TEST_F(CheckpointDirTest, KillPointMatrixRecoversDeterministically) {
     reference->Append(series.at(t));
   }
   const std::string ref_snapshot =
-      reference->Snapshot().ToString(series.symbols());
+      reference->Snapshot().value().ToString(series.symbols());
   const ContinuousMinerState ref_state = reference->ExportState();
 
   for (uint64_t cut = kPrefix; cut <= series.length(); ++cut) {
@@ -522,7 +522,7 @@ TEST_F(CheckpointDirTest, KillPointMatrixRecoversDeterministically) {
       miner.Append(series.at(t));
     }
     ExpectStatesEqual(miner.ExportState(), ref_state);
-    EXPECT_EQ(miner.Snapshot().ToString(series.symbols()), ref_snapshot)
+    EXPECT_EQ(miner.Snapshot().value().ToString(series.symbols()), ref_snapshot)
         << "cut " << cut;
   }
 }
@@ -569,7 +569,7 @@ TEST_F(CheckpointDirTest, ContinuousKillPointMatrixRecoversDeterministically) {
     reference->Append(series.at(t));
   }
   const std::string ref_snapshot =
-      reference->Snapshot().ToString(series.symbols());
+      reference->Snapshot().value().ToString(series.symbols());
   const ContinuousMinerState ref_state = reference->ExportState();
 
   for (uint64_t cut = kPrefix; cut <= series.length(); ++cut) {
@@ -621,7 +621,7 @@ TEST_F(CheckpointDirTest, ContinuousKillPointMatrixRecoversDeterministically) {
       miner.Append(series.at(t));
     }
     ExpectStatesEqual(miner.ExportState(), ref_state);
-    EXPECT_EQ(miner.Snapshot().ToString(series.symbols()), ref_snapshot)
+    EXPECT_EQ(miner.Snapshot().value().ToString(series.symbols()), ref_snapshot)
         << "cut " << cut;
     EXPECT_EQ(miner.segments_evicted(), reference->segments_evicted())
         << "cut " << cut;

@@ -76,10 +76,45 @@ TEST(WholeHistoryTest, SnapshotMatchesBatchWhenNoDrift) {
   auto batch = MineHitSet(source, options);
   ASSERT_TRUE(batch.ok());
 
-  const MiningResult snapshot = (*miner)->Snapshot();
+  const MiningResult snapshot = (*miner)->Snapshot().value();
   EXPECT_EQ(AsCountMap(snapshot, series.symbols()),
             AsCountMap(*batch, series.symbols()));
   EXPECT_EQ((*miner)->segments_committed(), 500u);
+}
+
+TEST(WholeHistoryTest, InterruptedSnapshotIsAnErrorNotATruncatedSet) {
+  const TimeSeries series = MakeSeries(400, 5);
+  // The creating options' token is irrelevant to `Snapshot`: only the
+  // interrupt passed to the call governs it.
+  MiningOptions options = DefaultOptions();
+  options.cancel.Cancel();
+  auto miner = ContinuousMiner::SeedFromPrefix(DefaultOptions(), series);
+  ASSERT_TRUE(miner.ok()) << miner.status();
+  auto created = ContinuousMiner::Create(options, (*miner)->space().letters());
+  ASSERT_TRUE(created.ok()) << created.status();
+  for (const tsdb::FeatureSet& instant : series.instants()) {
+    (*created)->Append(instant);
+  }
+
+  tsdb::InMemorySeriesSource source(&series);
+  auto batch = MineHitSet(source, DefaultOptions());
+  ASSERT_TRUE(batch.ok());
+  ASSERT_FALSE(batch->empty());
+  CancelToken fired;
+  fired.Cancel();
+  for (const ContinuousMiner* each : {miner->get(), created->get()}) {
+    const Result<MiningResult> interrupted =
+        each->Snapshot(Interrupt(fired, Deadline()));
+    EXPECT_EQ(interrupted.status().code(), StatusCode::kCancelled);
+    const Result<MiningResult> expired =
+        each->Snapshot(Interrupt(CancelToken(), Deadline::After(0)));
+    EXPECT_EQ(expired.status().code(), StatusCode::kDeadlineExceeded);
+
+    const Result<MiningResult> complete = each->Snapshot();
+    ASSERT_TRUE(complete.ok()) << complete.status();
+    EXPECT_EQ(AsCountMap(*complete, series.symbols()),
+              AsCountMap(*batch, series.symbols()));
+  }
 }
 
 TEST(WholeHistoryTest, PartialTrailingSegmentExcluded) {
@@ -104,7 +139,7 @@ TEST(WholeHistoryTest, PartialTrailingSegmentExcluded) {
   }
   EXPECT_EQ((*miner)->segments_committed(), 2u);
   EXPECT_EQ((*miner)->instants_seen(), 11u);
-  const MiningResult snapshot = (*miner)->Snapshot();
+  const MiningResult snapshot = (*miner)->Snapshot().value();
   // Counts reflect only the two whole segments.
   for (const FrequentPattern& entry : snapshot.patterns()) {
     EXPECT_EQ(entry.count, 2u);
@@ -116,11 +151,11 @@ TEST(WholeHistoryTest, PartialTrailingSegmentExcluded) {
 TEST(WholeHistoryTest, SnapshotBeforeAnySegmentIsEmpty) {
   auto miner = ContinuousMiner::Create(DefaultOptions(), {Letter{0, 0}});
   ASSERT_TRUE(miner.ok());
-  EXPECT_TRUE((*miner)->Snapshot().empty());
+  EXPECT_TRUE((*miner)->Snapshot().value().empty());
   tsdb::FeatureSet instant;
   instant.Set(0);
   (*miner)->Append(instant);
-  EXPECT_TRUE((*miner)->Snapshot().empty());  // Segment still in flight.
+  EXPECT_TRUE((*miner)->Snapshot().value().empty());  // Segment still in flight.
 }
 
 TEST(WholeHistoryTest, DriftDetection) {
@@ -260,7 +295,7 @@ TEST(WholeHistoryTest, SeededLetterCanDropBelowThreshold) {
       (*miner)->Append(instant);
     }
   }
-  const MiningResult snapshot = (*miner)->Snapshot();
+  const MiningResult snapshot = (*miner)->Snapshot().value();
   ASSERT_EQ(snapshot.size(), 1u);
   EXPECT_EQ(snapshot.patterns()[0].count, 10u);
 }
@@ -284,8 +319,8 @@ TEST(WholeHistoryTest, VerticalStoreGivesSameSnapshots) {
     (*tree_miner)->Append(series.at(t));
     (*vertical_miner)->Append(series.at(t));
   }
-  EXPECT_EQ(AsCountMap((*tree_miner)->Snapshot(), series.symbols()),
-            AsCountMap((*vertical_miner)->Snapshot(), series.symbols()));
+  EXPECT_EQ(AsCountMap((*tree_miner)->Snapshot().value(), series.symbols()),
+            AsCountMap((*vertical_miner)->Snapshot().value(), series.symbols()));
 }
 
 TEST(WholeHistoryTest, CreateValidation) {
@@ -313,7 +348,7 @@ TEST(WholeHistoryTest, LongStreamStaysBounded) {
   for (uint64_t t = 400; t < series.length(); ++t) {
     (*miner)->Append(series.at(t));
   }
-  const MiningResult snapshot = (*miner)->Snapshot();
+  const MiningResult snapshot = (*miner)->Snapshot().value();
   // Hit store entries bounded by 2^n_d - n_d - 1 regardless of 5000 segments.
   const uint64_t n_d = snapshot.stats().num_f1_letters;
   EXPECT_LE(snapshot.stats().hit_store_entries,
