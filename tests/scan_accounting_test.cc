@@ -153,6 +153,82 @@ TEST(ScanAccountingTest, SharedMultiPeriodIsTwoPassesTotal) {
   EXPECT_EQ(result.value().total_scans, 2u);
 }
 
+// Every counter of the four hit-set walks -- one period or a shared range,
+// each streamed (1 thread) or materialized and sharded (4 threads) -- on a
+// series whose length no period of the range divides, so each walk's
+// instant bound is visible in the counts.
+TEST(ScanAccountingTest, EveryWalkPinsPassesInstantsAndSourceReads) {
+  constexpr uint64_t kLength = 4007;
+  const synth::GeneratedSeries data = TestSeries(kLength, 20);
+  uint64_t covered_sum = 0;  // sum over periods 18..22 of m_p * p
+  uint64_t segments_sum = 0;  // sum over periods 18..22 of m_p
+  for (uint32_t period = 18; period <= 22; ++period) {
+    ASSERT_NE(kLength % period, 0u) << "period " << period;
+    covered_sum += kLength / period * period;
+    segments_sum += kLength / period;
+  }
+  ASSERT_EQ(covered_sum, 19980u);
+  ASSERT_EQ(segments_sum, 1004u);
+
+  struct Expected {
+    uint64_t db_passes, f1_scan, second_scan, shared_scan1, shared_scan2,
+        instants_scanned, segments_scanned, source_scans, source_instants;
+  };
+  const auto check = [](const obs::MetricsSnapshot& snapshot,
+                        const Expected& want, const std::string& walk) {
+    EXPECT_EQ(CounterValue(snapshot, "ppm.scan.db_passes"), want.db_passes)
+        << walk;
+    EXPECT_EQ(CounterValue(snapshot, "ppm.scan.passes.f1_scan"), want.f1_scan)
+        << walk;
+    EXPECT_EQ(CounterValue(snapshot, "ppm.scan.passes.second_scan"),
+              want.second_scan)
+        << walk;
+    EXPECT_EQ(CounterValue(snapshot, "ppm.scan.passes.shared_scan1"),
+              want.shared_scan1)
+        << walk;
+    EXPECT_EQ(CounterValue(snapshot, "ppm.scan.passes.shared_scan2"),
+              want.shared_scan2)
+        << walk;
+    EXPECT_EQ(CounterValue(snapshot, "ppm.scan.instants_scanned"),
+              want.instants_scanned)
+        << walk;
+    EXPECT_EQ(CounterValue(snapshot, "ppm.scan.segments_scanned"),
+              want.segments_scanned)
+        << walk;
+    EXPECT_EQ(CounterValue(snapshot, "ppm.source.scans"), want.source_scans)
+        << walk;
+    EXPECT_EQ(CounterValue(snapshot, "ppm.source.instants_read"),
+              want.source_instants)
+        << walk;
+  };
+
+  auto& registry = obs::MetricsRegistry::Global();
+  // One period (20): both passes cover the 200 whole segments only.
+  for (const uint32_t threads : {1u, 4u}) {
+    registry.Reset();
+    tsdb::InMemorySeriesSource source(&data.series);
+    ASSERT_TRUE(MineHitSet(source, HitsetOptions(20, threads)).ok());
+    check(registry.Snapshot(),
+          threads == 1 ? Expected{2, 1, 1, 0, 0, 8000, 400, 2, 8000}
+                       : Expected{2, 1, 1, 0, 0, 8000, 400, 1, 4000},
+          "single-period threads=" + std::to_string(threads));
+  }
+  // Shared range 18..22: streamed, two traversals for the whole range;
+  // sharded, one f1_scan and one shared_scan2 per period.
+  for (const uint32_t threads : {1u, 4u}) {
+    registry.Reset();
+    tsdb::InMemorySeriesSource source(&data.series);
+    ASSERT_TRUE(
+        MineMultiPeriodShared(source, 18, 22, HitsetOptions(0, threads)).ok());
+    check(registry.Snapshot(),
+          threads == 1
+              ? Expected{2, 0, 0, 1, 1, 2 * kLength, 0, 2, 2 * kLength}
+              : Expected{10, 5, 0, 0, 5, 2 * covered_sum, 2 * segments_sum, 1,
+                         kLength},
+          "shared threads=" + std::to_string(threads));
+  }
+}
+
 TEST(ScanAccountingTest, RecordDbPassFeedsHistogramAndSegments) {
   auto& registry = obs::MetricsRegistry::Global();
   registry.Reset();
