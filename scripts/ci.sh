@@ -421,7 +421,7 @@ echo "dist chaos smoke OK: 2 workers killed mid-shard, resume + merge exact"
 # exercise threads, tricky memory (core_tree_test: the vertical store's
 # slot and column-word indexing), or hostile bytes are run -- a full suite
 # per sanitizer would triple CI time for no extra coverage.
-SANITIZER_TESTS='util_thread_pool_test|util_bytes_test|util_crc32c_test|format_golden_test|core_tree_test|core_letter_counts_test|core_derivation_test|core_f1_scan_test|core_maximal_miner_test|parallel_mine_test|differential_test|determinism_test|boundary_test|stream_test|tsdb_corruption_test|tsdb_fault_injection_test|fault_tolerance_test|tsdb_wal_test|stream_checkpoint_test|incremental_equivalence_test|cli_stream_test|service_store_test|service_cache_test|service_wire_test|service_admission_test|ppmd_server_test|serving_differential_test|serving_soak_test|service_robustness_test|dist_plan_test|dist_merge_test|dist_corruption_test|dist_coordinator_test'
+SANITIZER_TESTS='util_thread_pool_test|util_bytes_test|util_crc32c_test|format_golden_test|core_tree_test|core_letter_counts_test|core_derivation_test|core_f1_scan_test|core_maximal_miner_test|core_multi_period_test|scan_accounting_test|parallel_mine_test|differential_test|determinism_test|boundary_test|stream_test|tsdb_corruption_test|tsdb_fault_injection_test|fault_tolerance_test|tsdb_wal_test|stream_checkpoint_test|incremental_equivalence_test|cli_stream_test|service_store_test|service_cache_test|service_wire_test|service_admission_test|ppmd_server_test|serving_differential_test|serving_soak_test|service_robustness_test|dist_plan_test|dist_merge_test|dist_corruption_test|dist_coordinator_test'
 if [[ "$SANITIZERS" == "1" ]]; then
   for sanitizer in thread address undefined; do
     SAN_DIR="$BUILD_DIR-$sanitizer"

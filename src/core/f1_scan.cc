@@ -1,5 +1,6 @@
 #include "core/f1_scan.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "core/budget.h"
@@ -15,9 +16,6 @@ namespace ppm {
 
 namespace {
 
-/// Segments counted between interrupt polls (never per instant).
-constexpr uint64_t kSegmentCheckStride = 1024;
-
 /// Counts the letters of segments `[seg_begin, seg_end)` into `*counts`,
 /// stopping early (with a partial table) once `interrupt` fires. Callers
 /// re-check the interrupt and discard partial tables.
@@ -25,7 +23,7 @@ void CountSegments(const std::vector<tsdb::FeatureSet>& instants,
                    uint32_t period, uint64_t seg_begin, uint64_t seg_end,
                    const Interrupt& interrupt, LetterCounts* counts) {
   for (uint64_t segment = seg_begin; segment < seg_end; ++segment) {
-    if ((segment - seg_begin) % kSegmentCheckStride == 0 &&
+    if ((segment - seg_begin) % kScanCheckStride == 0 &&
         interrupt.ShouldStop()) {
       return;
     }
@@ -109,52 +107,99 @@ F1ScanResult BuildF1FromInstants(const std::vector<tsdb::FeatureSet>& instants,
   return FinishF1(merged, options, num_periods);
 }
 
-Result<F1ScanResult> ScanForF1(tsdb::SeriesSource& source,
-                               const MiningOptions& options) {
-  PPM_RETURN_IF_ERROR(options.Validate(source.length()));
+Result<F1Scans> ScanPeriodsForF1(tsdb::SeriesSource& source,
+                                 const std::vector<MiningOptions>& per_period) {
+  const MiningOptions& options = per_period.front();
   const Interrupt interrupt = options.interrupt();
   PPM_RETURN_IF_INTERRUPTED_RECORDED(interrupt);
-
+  const size_t num_ranges = per_period.size();
+  const bool shared = num_ranges > 1;
   const uint32_t threads = ResolveThreadCount(options.num_threads);
-  const uint64_t num_periods = source.length() / options.period;
-  const bool sharded = threads > 1 && num_periods > 1;
-  // A sharded count holds one table per worker until they are summed.
+
+  uint64_t walk = 0;
+  uint64_t all_tables = 0;
+  uint64_t largest_table = 0;
+  for (const MiningOptions& one : per_period) {
+    walk = std::max(walk, source.length() / one.period * one.period);
+    const uint64_t table =
+        LetterCounts::BoundBytes(one.period, source.symbols().size());
+    all_tables += table;
+    largest_table = std::max(largest_table, table);
+  }
+  // Streamed, every period's table is alive at once. Sharded, the periods
+  // are counted in turn, each with one table per worker until they are
+  // summed.
   PPM_RETURN_IF_ERROR(CheckLetterCountsBudget(
-      options, (sharded ? threads : 1) *
-                   LetterCounts::BoundBytes(options.period,
-                                            source.symbols().size())));
-  if (sharded) {
-    PPM_ASSIGN_OR_RETURN(
-        const std::vector<tsdb::FeatureSet> instants,
-        parallel::MaterializePrefix(source, num_periods * options.period));
-    ThreadPool pool(threads);
-    F1ScanResult f1 = BuildF1FromInstants(instants, options, &pool);
-    // Workers bail on interruption, leaving a partial count table; discard
-    // it rather than report letters with understated counts.
-    PPM_RETURN_IF_INTERRUPTED_RECORDED(interrupt);
-    return f1;
+      options, threads > 1 ? threads * largest_table : all_tables));
+
+  F1Scans scans;
+  if (threads > 1) {
+    PPM_ASSIGN_OR_RETURN(scans.instants,
+                         parallel::MaterializePrefix(source, walk));
+    scans.pool = std::make_unique<ThreadPool>(threads);
+    obs::MetricsRegistry::Global().GetGauge("ppm.parallel.threads")
+        .Set(scans.pool->size());
+    obs::TraceSpan span;
+    if (shared) span = obs::Tracer::Global().StartSpan("shared_scan1");
+    for (const MiningOptions& one : per_period) {
+      scans.f1.push_back(
+          BuildF1FromInstants(scans.instants, one, scans.pool.get()));
+      // Workers bail on interruption, leaving a partial count table;
+      // discard it rather than report letters with understated counts.
+      PPM_RETURN_IF_INTERRUPTED_RECORDED(interrupt);
+    }
+    return scans;
   }
 
-  const obs::TraceSpan span = obs::Tracer::Global().StartSpan("f1_scan");
-  LetterCounts counts(options.period);
+  const obs::TraceSpan span =
+      obs::Tracer::Global().StartSpan(shared ? "shared_scan1" : "f1_scan");
+  // One counter per period: its table and its whole-segment prefix.
+  struct PeriodCount {
+    LetterCounts counts;
+    uint64_t covered;
+    uint32_t period;
+  };
+  std::vector<PeriodCount> ranges;
+  for (const MiningOptions& one : per_period) {
+    ranges.push_back(PeriodCount{LetterCounts(one.period),
+                                 source.length() / one.period * one.period,
+                                 one.period});
+  }
 
   PPM_RETURN_IF_ERROR(source.StartScan());
-  const uint64_t covered = num_periods * options.period;
-  // Poll the interrupt once per stride of instants, not per instant.
-  const uint64_t check_stride = kSegmentCheckStride * options.period;
+  // Poll the interrupt once per stride of the shortest period's segments,
+  // not per instant.
+  const uint64_t check_stride = kScanCheckStride * options.period;
   tsdb::FeatureSet instant;
   uint64_t t = 0;
-  while (t < covered && source.Next(&instant)) {
+  while (t < walk && source.Next(&instant)) {
     if (t % check_stride == 0) PPM_RETURN_IF_INTERRUPTED_RECORDED(interrupt);
-    counts.Add(static_cast<uint32_t>(t % options.period), instant);
+    for (PeriodCount& range : ranges) {
+      if (t >= range.covered) continue;
+      range.counts.Add(static_cast<uint32_t>(t % range.period), instant);
+    }
     ++t;
   }
   PPM_RETURN_IF_ERROR(source.status());
-  if (t < covered) {
+  if (t < walk) {
     return Status::Internal("source ended before its declared length");
   }
-  RecordDbPass("f1_scan", covered, num_periods);
-  return FinishF1(counts, options, num_periods);
+  // One traversal serves every period: a streamed shared run is 2 db
+  // passes in total, however many periods it mines.
+  RecordDbPass(shared ? "shared_scan1" : "f1_scan", walk,
+               shared ? 0 : walk / options.period);
+  for (size_t r = 0; r < num_ranges; ++r) {
+    scans.f1.push_back(FinishF1(ranges[r].counts, per_period[r],
+                                ranges[r].covered / ranges[r].period));
+  }
+  return scans;
+}
+
+Result<F1ScanResult> ScanForF1(tsdb::SeriesSource& source,
+                               const MiningOptions& options) {
+  PPM_RETURN_IF_ERROR(options.Validate(source.length()));
+  PPM_ASSIGN_OR_RETURN(F1Scans scans, ScanPeriodsForF1(source, {options}));
+  return std::move(scans.f1.front());
 }
 
 }  // namespace ppm

@@ -2,6 +2,7 @@
 #define PPM_CORE_F1_SCAN_H_
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "core/letter_counts.h"
@@ -34,18 +35,36 @@ struct F1ScanResult {
 F1ScanResult FinishF1(const LetterCounts& counts, const MiningOptions& options,
                       uint64_t num_periods);
 
-/// Scans `source` once, counting each (position, feature) letter over whole
-/// period segments, and keeps the letters whose count meets the threshold.
+/// What scan 1 leaves behind for the scan that follows it.
+struct F1Scans {
+  /// `F_1` of each period, in the order of the requested periods.
+  std::vector<F1ScanResult> f1;
+  /// The walked prefix, read once when the walk is sharded; empty when the
+  /// series was streamed.
+  std::vector<tsdb::FeatureSet> instants;
+  /// The workers of a sharded walk; null when the series was streamed.
+  std::unique_ptr<ThreadPool> pool;
+};
+
+/// Scan 1 of Algorithm 3.4 over the periods of `per_period` (one period
+/// is Algorithm 3.2's scan 1): one walk of `source` counts each (position,
+/// feature) letter of every period over its whole segments, then keeps
+/// the letters that meet that period's threshold and `letter_filter`.
 ///
-/// Honors `options.letter_filter` (filtered letters are dropped regardless
-/// of count). Fails when `options` are invalid for the source length, on
-/// source I/O errors, or with `kResourceExhausted` when the count tables'
-/// bound exceeds `options.memory_budget_bytes`.
-///
-/// With `options.num_threads` resolving to more than one worker, the
-/// covered prefix is materialized (still one scan) and the counting is
-/// sharded over whole period segments; the letter counts -- and therefore
-/// the resulting `F_1` -- are identical to the sequential scan.
+/// `per_period` must be non-empty, ascending by period and validated
+/// against the series length; they differ only in `period`. The walk stops
+/// after the last whole segment of the longest covered period,
+/// `max_r(m_r * p_r)` instants. With `num_threads` resolving to one worker
+/// the walk streams the source; with more, it materializes that prefix
+/// once and counts each period sharded over whole segments
+/// (`BuildF1FromInstants`), with identical counts. Fails on source I/O
+/// errors, on interruption, or with `kResourceExhausted` before the walk
+/// when the count tables alive at once exceed `memory_budget_bytes`.
+Result<F1Scans> ScanPeriodsForF1(tsdb::SeriesSource& source,
+                                 const std::vector<MiningOptions>& per_period);
+
+/// `ScanPeriodsForF1` for the one period `options.period`, after
+/// validating `options` against the source length.
 Result<F1ScanResult> ScanForF1(tsdb::SeriesSource& source,
                                const MiningOptions& options);
 

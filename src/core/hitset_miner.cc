@@ -1,6 +1,9 @@
 #include "core/hitset_miner.h"
 
+#include <algorithm>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/budget.h"
@@ -9,7 +12,6 @@
 #include "core/scan_accounting.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "parallel/materialize.h"
 #include "parallel/shard.h"
 #include "util/cancellation.h"
 #include "util/log.h"
@@ -17,8 +19,18 @@
 
 namespace ppm {
 
+namespace {
+
+uint64_t TotalBytes(const std::vector<std::unique_ptr<HitStore>>& stores) {
+  uint64_t bytes = 0;
+  for (const auto& store : stores) bytes += store->ApproxMemoryBytes();
+  return bytes;
+}
+
+}  // namespace
+
 Result<HitSetScans> ScanHitSet(tsdb::SeriesSource& source,
-                               const MiningOptions& options) {
+                               const std::vector<MiningOptions>& per_period) {
   auto& registry = obs::MetricsRegistry::Global();
   obs::Counter hits_inserted = registry.GetCounter("ppm.hitset.hits_inserted");
   obs::Counter segments_skipped =
@@ -39,100 +51,129 @@ Result<HitSetScans> ScanHitSet(tsdb::SeriesSource& source,
     }
   };
 
-  PPM_RETURN_IF_ERROR(options.Validate(source.length()));
+  const MiningOptions& options = per_period.front();
   const Interrupt interrupt = options.interrupt();
-  PPM_RETURN_IF_INTERRUPTED_RECORDED(interrupt);
-  const uint32_t period = options.period;
-
-  const uint32_t threads = ResolveThreadCount(options.num_threads);
   const uint64_t limit = options.memory_budget_bytes;  // 0: unlimited.
+  const size_t num_ranges = per_period.size();
+  const bool shared = num_ranges > 1;
+
+  // Scan 1: every period's frequent 1-patterns and candidate max-pattern.
+  PPM_ASSIGN_OR_RETURN(F1Scans scanned, ScanPeriodsForF1(source, per_period));
   HitSetScans scans;
-  F1ScanResult& f1 = scans.f1;
-  std::vector<tsdb::FeatureSet> instants;
+  scans.pool = std::move(scanned.pool);
+  const std::vector<tsdb::FeatureSet>& instants = scanned.instants;
 
-  // Scan 1: frequent 1-patterns and the candidate max-pattern.
-  if (threads > 1) {
-    // One letter-count table per worker until they are summed.
-    PPM_RETURN_IF_ERROR(CheckLetterCountsBudget(
-        options, threads * LetterCounts::BoundBytes(
-                               period, source.symbols().size())));
+  // Property 3.2 bounds each hit set before it is built; the budget
+  // decision may degrade the tree to the vertical store (identical
+  // patterns) or refuse. Every period's store is decided against the
+  // budget the periods before it left over: all of them are alive together
+  // during scan 2.
+  std::vector<uint64_t> covered(num_ranges);
+  uint64_t walk = 0;
+  uint64_t reserved = 0;
+  for (size_t r = 0; r < num_ranges; ++r) {
+    PeriodHitSet& period = scans.periods.emplace_back();
+    period.f1 = std::move(scanned.f1[r]);
     PPM_ASSIGN_OR_RETURN(
-        instants, parallel::MaterializePrefix(
-                      source, source.length() / period * period));
-    scans.pool = std::make_unique<ThreadPool>(threads);
-    registry.GetGauge("ppm.parallel.threads").Set(scans.pool->size());
-    f1 = BuildF1FromInstants(instants, options, scans.pool.get());
-    PPM_RETURN_IF_INTERRUPTED_RECORDED(interrupt);
-  } else {
-    PPM_ASSIGN_OR_RETURN(f1, ScanForF1(source, options));
+        const BudgetDecision budgeted,
+        DecideHitStore(per_period[r], period.f1.num_periods,
+                       period.f1.space.size(), reserved));
+    period.store_kind = budgeted.store;
+    reserved += budgeted.predicted_bytes;
+    covered[r] = period.f1.num_periods * per_period[r].period;
+    walk = std::max(walk, covered[r]);
   }
-
-  // Property 3.2 bounds the hit set before it is built; the budget decision
-  // may degrade the tree to the vertical store (identical patterns) or
-  // refuse.
-  PPM_ASSIGN_OR_RETURN(
-      const BudgetDecision budgeted,
-      DecideHitStore(options, f1.num_periods, f1.space.size()));
-  scans.store_kind = budgeted.store;
-  const auto new_store = [&] {
-    return MakeHitStore(budgeted.store, f1.space.full_mask(), f1.space.size());
+  const auto new_stores = [&] {
+    std::vector<std::unique_ptr<HitStore>> stores;
+    for (const PeriodHitSet& period : scans.periods) {
+      stores.push_back(MakeHitStore(period.store_kind,
+                                    period.f1.space.full_mask(),
+                                    period.f1.space.size()));
+    }
+    return stores;
   };
-  scans.store = new_store();
-  HitStore& store = *scans.store;
+  std::vector<std::unique_ptr<HitStore>> stores = new_stores();
 
   // Scan 2: register the maximal hit subpattern of every whole segment.
-  const obs::TraceSpan scan_span =
-      obs::Tracer::Global().StartSpan("second_scan");
-  const uint64_t covered = f1.num_periods * period;
+  const std::string phase = shared ? "shared_scan2" : "second_scan";
+  const obs::TraceSpan scan_span = obs::Tracer::Global().StartSpan(phase);
   if (scans.pool == nullptr) {
+    // One walker per period: its letters, its store and its current
+    // segment's mask.
+    struct PeriodWalk {
+      const LetterSpace* space;
+      HitStore* store;
+      Bitset segment_mask;
+      uint64_t covered;
+      uint32_t period;
+    };
+    std::vector<PeriodWalk> ranges;
+    for (size_t r = 0; r < num_ranges; ++r) {
+      const LetterSpace& space = scans.periods[r].f1.space;
+      ranges.push_back(PeriodWalk{&space, stores[r].get(), Bitset(space.size()),
+                                  covered[r], per_period[r].period});
+    }
     PPM_RETURN_IF_ERROR(source.StartScan());
-    Bitset segment_mask(f1.space.size());
     tsdb::FeatureSet instant;
     uint64_t t = 0;
     uint64_t segments_done = 0;
-    while (t < covered && source.Next(&instant)) {
-      const uint32_t position = static_cast<uint32_t>(t % period);
-      if (position == 0) segment_mask.Reset();
-      f1.space.AccumulatePosition(position, instant, &segment_mask);
-      if (position == period - 1) {
-        register_segment(segment_mask, store);
+    while (t < walk && source.Next(&instant)) {
+      for (PeriodWalk& range : ranges) {
+        if (t >= range.covered) continue;
+        const uint32_t position = static_cast<uint32_t>(t % range.period);
+        if (position == 0) range.segment_mask.Reset();
+        range.space->AccumulatePosition(position, instant,
+                                        &range.segment_mask);
+        if (position != range.period - 1) continue;
+        register_segment(range.segment_mask, *range.store);
         if (++segments_done % kScanCheckStride == 0) {
           PPM_RETURN_IF_INTERRUPTED_RECORDED(interrupt);
-          if (limit != 0 && store.ApproxMemoryBytes() > limit) {
-            return HitStoreOverBudget(store.ApproxMemoryBytes(), limit);
+          if (limit != 0 && TotalBytes(stores) > limit) {
+            return HitStoreOverBudget(TotalBytes(stores), limit);
           }
         }
       }
       ++t;
     }
     PPM_RETURN_IF_ERROR(source.status());
-    if (t < covered) {
+    if (t < walk) {
       return Status::Internal("source ended before its declared length");
     }
+    // One traversal serves every period, as in scan 1.
+    RecordDbPass(phase, walk, shared ? 0 : walk / options.period);
   } else {
-    // Each worker registers its own chunk of segments into a private
-    // store; the private stores are merged in chunk order, which keeps the
-    // merged store identical run to run for a fixed thread count.
+    // Worker w registers chunk w of every period's segments into a private
+    // store set; the sets are merged in worker order, which keeps the
+    // merged stores identical run to run for a fixed thread count.
     ThreadPool& pool = *scans.pool;
-    std::vector<std::unique_ptr<HitStore>> shard_stores(pool.size());
-    for (auto& shard : shard_stores) shard = new_store();
+    std::vector<std::vector<std::unique_ptr<HitStore>>> worker_stores(
+        pool.size());
+    for (auto& store_set : worker_stores) store_set = new_stores();
     LiveStoreBytes live(pool.size());
     parallel::ShardTimings timings = parallel::ShardedRun(
-        pool, f1.num_periods, "second_scan",
+        pool, pool.size(), phase,
         [&](const ThreadPool::Chunk& chunk) {
-          HitStore& shard = *shard_stores[chunk.index];
-          Bitset segment_mask(f1.space.size());
-          for (uint64_t segment = chunk.begin; segment < chunk.end;
-               ++segment) {
-            if ((segment - chunk.begin) % kScanCheckStride == 0 &&
-                (interrupt.ShouldStop() ||
-                 (limit != 0 &&
-                  live.Publish(chunk.index, shard.ApproxMemoryBytes(),
-                               limit)))) {
-              return;
+          for (uint64_t w = chunk.begin; w < chunk.end; ++w) {
+            for (size_t r = 0; r < num_ranges; ++r) {
+              const uint32_t period = per_period[r].period;
+              const F1ScanResult& f1 = scans.periods[r].f1;
+              const std::vector<ThreadPool::Chunk> segments =
+                  ThreadPool::SplitRange(f1.num_periods, pool.size());
+              if (w >= segments.size()) continue;
+              Bitset segment_mask(f1.space.size());
+              for (uint64_t segment = segments[w].begin;
+                   segment < segments[w].end; ++segment) {
+                if ((segment - segments[w].begin) % kScanCheckStride == 0 &&
+                    (interrupt.ShouldStop() ||
+                     (limit != 0 &&
+                      live.Publish(w, TotalBytes(worker_stores[w]), limit)))) {
+                  return;
+                }
+                f1.space.SegmentMask(&instants[segment * period],
+                                     &segment_mask);
+                register_segment(segment_mask, *worker_stores[w][r]);
+              }
             }
-            f1.space.SegmentMask(&instants[segment * period], &segment_mask);
-            register_segment(segment_mask, shard);
           }
         },
         interrupt);
@@ -140,18 +181,29 @@ Result<HitSetScans> ScanHitSet(tsdb::SeriesSource& source,
     if (live.over()) return HitStoreOverBudget(live.total(), limit);
 
     obs::TraceSpan merge_span =
-        obs::Tracer::Global().StartSpan("second_scan.merge");
-    for (const auto& shard : shard_stores) store.Merge(*shard);
+        obs::Tracer::Global().StartSpan(phase + ".merge");
+    for (size_t r = 0; r < num_ranges; ++r) {
+      for (const auto& store_set : worker_stores) {
+        stores[r]->Merge(*store_set[r]);
+      }
+    }
     merge_span.End();
     timings.merge_seconds = merge_span.ElapsedSeconds();
     parallel::RecordShardMetrics(timings);
+    // Each period's segments are walked on their own here, as its F_1
+    // build was, so passes accrue per period (docs/OBSERVABILITY.md).
+    for (size_t r = 0; r < num_ranges; ++r) {
+      RecordDbPass(phase, covered[r], scans.periods[r].f1.num_periods);
+    }
   }
-  if (limit != 0 && store.ApproxMemoryBytes() > limit) {
-    return HitStoreOverBudget(store.ApproxMemoryBytes(), limit);
+  scans.store_bytes = TotalBytes(stores);
+  if (limit != 0 && scans.store_bytes > limit) {
+    return HitStoreOverBudget(scans.store_bytes, limit);
   }
-  RecordDbPass("second_scan", covered, f1.num_periods);
-  registry.GetGauge("ppm.resource.hit_store_bytes")
-      .Set(store.ApproxMemoryBytes());
+  registry.GetGauge("ppm.resource.hit_store_bytes").Set(scans.store_bytes);
+  for (size_t r = 0; r < num_ranges; ++r) {
+    scans.periods[r].store = std::move(stores[r]);
+  }
   return scans;
 }
 
@@ -161,14 +213,16 @@ Result<MiningResult> MineHitSet(tsdb::SeriesSource& source,
   MiningResult result;
   const uint64_t scans_before = source.stats().scans;
   const uint64_t instants_before = source.stats().instants_read;
-  PPM_ASSIGN_OR_RETURN(const HitSetScans scans, ScanHitSet(source, options));
+  PPM_RETURN_IF_ERROR(options.Validate(source.length()));
+  PPM_ASSIGN_OR_RETURN(const HitSetScans scans, ScanHitSet(source, {options}));
+  const PeriodHitSet& scanned = scans.periods.front();
 
   // Derivation: no further series access. The budget keeps accounting for
   // per-level candidate tables on top of the hit store's bytes.
   MemoryBudget budget(options.memory_budget_bytes);
-  if (!budget.unlimited()) budget.TryCharge(scans.store->ApproxMemoryBytes());
+  if (!budget.unlimited()) budget.TryCharge(scans.store_bytes);
   PPM_RETURN_IF_ERROR(DeriveFromHitStore(
-      scans.f1, *scans.store, scans.store_kind, options.max_letters,
+      scanned.f1, *scanned.store, scanned.store_kind, options.max_letters,
       scans.pool.get(), options.interrupt(),
       budget.unlimited() ? nullptr : &budget, &result));
   result.stats().scans = source.stats().scans - scans_before;

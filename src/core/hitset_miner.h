@@ -1,7 +1,9 @@
 #ifndef PPM_CORE_HITSET_MINER_H_
 #define PPM_CORE_HITSET_MINER_H_
 
+#include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "core/f1_scan.h"
 #include "core/hit_store.h"
@@ -13,30 +15,46 @@
 
 namespace ppm {
 
-/// What the two scans of Algorithm 3.2 leave behind for the search that
-/// follows them.
-struct HitSetScans {
+/// What the two scans leave behind for one period's search.
+struct PeriodHitSet {
   /// Scan 1: `F_1` and the candidate max-pattern `C_max`.
   F1ScanResult f1;
   /// The store kind the budget decision chose for `store`.
   HitStoreKind store_kind = HitStoreKind::kVertical;
   /// Scan 2: the maximal hit subpattern of every whole segment.
   std::unique_ptr<HitStore> store;
-  /// The workers of a materialized, sharded walk, for the search to reuse;
-  /// null when the series was streamed.
-  std::unique_ptr<ThreadPool> pool;
 };
 
-/// Scans 1 and 2 of Algorithm 3.2, the one body behind `MineHitSet` and
-/// `MineMaximalHitSet`: validates `options`, finds `F_1`, decides the hit
-/// store against `options.memory_budget_bytes` (Property 3.2), and
-/// registers every whole segment's hit, re-checking the store's live bytes
-/// against the budget as it grows. `options.num_threads` only chooses the walk: streamed from the
-/// source once per scan, or materialized once (`stats().scans` is then 1)
-/// and sharded over whole segments (docs/PARALLELISM.md). Records the
-/// `ppm.hitset.*` metrics and both database passes.
+/// What `ScanHitSet` leaves behind for the searches that follow it.
+struct HitSetScans {
+  /// One per requested period, in the same order.
+  std::vector<PeriodHitSet> periods;
+  /// The workers of a materialized, sharded walk, for the searches to
+  /// reuse; null when the series was streamed.
+  std::unique_ptr<ThreadPool> pool;
+  /// Bytes of every period's store together once scan 2 finished.
+  uint64_t store_bytes = 0;
+};
+
+/// Scans 1 and 2 of Algorithm 3.4 over the periods of `per_period`, the one
+/// scan engine behind `MineHitSet` and `MineMaximalHitSet` (one period,
+/// Algorithm 3.2) and `MineMultiPeriodShared`. `per_period` must be
+/// non-empty, ascending by period, validated against the series length and
+/// otherwise identical.
+///
+/// Finds every period's `F_1` in one walk (`ScanPeriodsForF1`), decides
+/// each period's hit store against what `memory_budget_bytes` leaves after
+/// the periods before it (Property 3.2; all the stores are alive
+/// together), and registers every whole segment's hit of every period in a
+/// second walk, re-checking the stores' live bytes against the budget as
+/// they grow. Each walk stops after `max_r(m_r * p_r)` instants.
+/// `num_threads` only chooses the walk: streamed from the source once per
+/// scan, or materialized once (`stats().scans` is then 1) and sharded over
+/// whole segments, worker `w` taking chunk `w` of every period's segments
+/// (docs/PARALLELISM.md). Records the `ppm.hitset.*` metrics and the
+/// database passes of docs/OBSERVABILITY.md.
 Result<HitSetScans> ScanHitSet(tsdb::SeriesSource& source,
-                               const MiningOptions& options);
+                               const std::vector<MiningOptions>& per_period);
 
 /// Algorithm 3.2 (max-subpattern hit-set).
 ///

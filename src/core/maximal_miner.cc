@@ -128,9 +128,11 @@ Result<MiningResult> MineMaximalHitSet(tsdb::SeriesSource& source,
   const uint64_t scans_before = source.stats().scans;
   const uint64_t instants_before = source.stats().instants_read;
 
-  PPM_ASSIGN_OR_RETURN(const HitSetScans scans, ScanHitSet(source, options));
-  const F1ScanResult& f1 = scans.f1;
-  const HitStore& store = *scans.store;
+  PPM_RETURN_IF_ERROR(options.Validate(source.length()));
+  PPM_ASSIGN_OR_RETURN(const HitSetScans scans, ScanHitSet(source, {options}));
+  const PeriodHitSet& scanned = scans.periods.front();
+  const F1ScanResult& f1 = scanned.f1;
+  const HitStore& store = *scanned.store;
   result.stats().num_f1_letters = f1.space.size();
   result.stats().num_periods = f1.num_periods;
 
@@ -153,8 +155,9 @@ Result<MiningResult> MineMaximalHitSet(tsdb::SeriesSource& source,
   result.stats().candidates_evaluated = search.oracle_calls();
   result.stats().hit_store_entries = store.num_entries();
   result.stats().tree_nodes =
-      scans.store_kind == HitStoreKind::kMaxSubpatternTree ? store.num_units()
-                                                           : 0;
+      scanned.store_kind == HitStoreKind::kMaxSubpatternTree
+          ? store.num_units()
+          : 0;
   result.stats().scans = source.stats().scans - scans_before;
   result.stats().instants_read = source.stats().instants_read - instants_before;
   result.stats().elapsed_seconds = stopwatch.ElapsedSeconds();

@@ -350,6 +350,79 @@ TEST(BudgetTest, SharedScanOneTablesAreBudgetedBeforeAllocation) {
   }
 }
 
+TEST(BudgetTest, LoopedMultiPeriodTasksBudgetTablesOverTheSourceSymbols) {
+  // The sharded looped miner mines each period from an in-memory copy of
+  // the series; that copy must keep the source's 512 symbols, or every
+  // task budgets its letter-count table over an empty alphabet.
+  synth::GeneratorOptions generator;
+  generator.length = 6000;
+  generator.period = 10;
+  generator.max_pat_length = 4;
+  generator.num_f1 = 6;
+  generator.num_features = 512;
+  generator.seed = 3;
+  auto generated = synth::GenerateSeries(generator);
+  ASSERT_TRUE(generated.ok()) << generated.status().ToString();
+  const tsdb::TimeSeries& series = generated->series;
+  ASSERT_EQ(series.symbols().size(), 512u);
+
+  MiningOptions options;
+  options.min_confidence = 0.9;
+  options.budget_policy = BudgetPolicy::kFail;
+  options.memory_budget_bytes = LetterCounts::BoundBytes(60, 512) - 1;
+  for (const uint32_t threads : {1u, 4u}) {
+    options.num_threads = threads;
+    tsdb::InMemorySeriesSource source(&series);
+    const auto denied = MineMultiPeriodLooped(source, 58, 60, options);
+    ASSERT_FALSE(denied.ok()) << "threads=" << threads;
+    EXPECT_EQ(denied.status().code(), StatusCode::kResourceExhausted)
+        << "threads=" << threads << ": " << denied.status().ToString();
+    EXPECT_NE(denied.status().ToString().find("letter-count tables"),
+              std::string::npos)
+        << "threads=" << threads << ": " << denied.status().ToString();
+  }
+}
+
+TEST(BudgetTest, LoopedMultiPeriodSplitsItsBudgetAcrossConcurrentTasks) {
+  MiningOptions options;
+  options.min_confidence = 0.3;
+  options.budget_policy = BudgetPolicy::kFail;
+  uint64_t largest = 0;
+  for (uint32_t period = 8; period <= 12; ++period) {
+    MiningOptions single = options;
+    single.period = period;
+    tsdb::InMemorySeriesSource source(&MultiPeriodSeries());
+    const auto f1 = ScanForF1(source, single);
+    ASSERT_TRUE(f1.ok()) << f1.status().ToString();
+    largest = std::max(
+        largest, PredictHitStoreBytes(
+                     options.hit_store,
+                     HitSetUpperBound(f1->num_periods, f1->space.size()),
+                     f1->space.size()));
+  }
+  // Streamed, one period's store is alive at a time: each fits alone.
+  options.memory_budget_bytes = largest;
+  tsdb::InMemorySeriesSource one_source(&MultiPeriodSeries());
+  const auto streamed = MineMultiPeriodLooped(one_source, 8, 12, options);
+  EXPECT_TRUE(streamed.ok()) << streamed.status().ToString();
+
+  // Four period tasks run at once, so four stores are alive together: the
+  // same budget no longer covers them.
+  options.num_threads = 4;
+  tsdb::InMemorySeriesSource source(&MultiPeriodSeries());
+  const uint64_t before = CounterValue("ppm.fault.budget_denials");
+  const auto denied = MineMultiPeriodLooped(source, 8, 12, options);
+  ASSERT_FALSE(denied.ok());
+  EXPECT_EQ(denied.status().code(), StatusCode::kResourceExhausted)
+      << denied.status().ToString();
+  EXPECT_GT(CounterValue("ppm.fault.budget_denials"), before);
+
+  options.memory_budget_bytes = 4 * largest;
+  tsdb::InMemorySeriesSource fits_source(&MultiPeriodSeries());
+  const auto fits = MineMultiPeriodLooped(fits_source, 8, 12, options);
+  EXPECT_TRUE(fits.ok()) << fits.status().ToString();
+}
+
 TEST(BudgetTest, DecideHitStoreUnlimitedKeepsRequestedStore) {
   MiningOptions options = BaseOptions();
   options.hit_store = HitStoreKind::kMaxSubpatternTree;
